@@ -1,9 +1,7 @@
-// Ablation: in-node search strategy — the legacy policies (linear scan with
-// the 3-way comparator vs binary search, implementation note (2) of §3)
-// against the column-cache SimdSearch kernel (DESIGN.md §10) — swept across
-// node sizes AND key types (Tuple<2> "points" and plain u64), since the key
-// type decides both the column layout (separate SoA cache vs aliased keys[])
-// and the tie-fallback frequency.
+// Ablation: in-node search strategy — linear scan with the 3-way comparator
+// vs binary search (implementation note (2) of §3) — swept across node sizes
+// AND key types (Tuple<2> "points" and plain u64), since the key width
+// decides how many cache lines a node's keys span.
 //
 //   ./build/bench/ablation_search [--n=1000000] [--reps=3] [--json=FILE]
 //
@@ -11,17 +9,15 @@
 // fresh tree is allocation- and page-fault-noisy, and best-of isolates the
 // kernel difference the ablation is after.
 //
-// A fourth column runs leaf layout v2 (WithFingerprints, DESIGN.md §15) on
-// top of the SimdSearch kernel, and a second table measures what v2 is FOR:
-// miss-dominated membership probes (in-range keys that are never inserted),
-// where the fingerprint byte-compare answers without loading a single key.
-// scripts/bench.sh asserts the v2 probe cells beat the v1 simd baseline at
-// the default BlockSize.
+// A third column runs leaf layout v2 (WithFingerprints, DESIGN.md §15) on
+// top of the default in-node search, and a second table measures what v2 is
+// FOR: miss-dominated membership probes (in-range keys that are never
+// inserted), where the fingerprint byte-compare answers without loading a
+// single key. scripts/bench.sh asserts the v2 probe cells beat the v1
+// default-search baseline at the default BlockSize.
 //
-// Under a metrics build the JSON carries search_simd_probes /
-// search_scalar_fallbacks — pinning that the simd cells actually exercised
-// the vector kernel — and fp_probes / fp_skips / append_inserts for the v2
-// cells (scripts/bench.sh asserts on both).
+// Under a metrics build the JSON carries fp_probes / fp_skips /
+// append_inserts for the v2 cells (scripts/bench.sh asserts on them).
 
 #include "bench/common.h"
 
@@ -35,6 +31,11 @@ namespace {
 
 using namespace dtree;
 using namespace dtree::bench;
+
+/// The search policy the trees use by default at this node size.
+template <typename Key, unsigned BlockSize>
+using DefaultAt =
+    detail::DefaultSearch<Key, ThreeWayComparator<Key>, BlockSize>;
 
 /// The tree a cell runs: v1 (sorted leaves) or leaf layout v2 (§15).
 template <typename Key, unsigned BlockSize, typename Search, bool WithFp>
@@ -95,28 +96,25 @@ void run(const std::string& kind, const std::vector<Key>& random,
     table.add(kind + " binary" + suffix,
               insert_throughput<Key, BlockSize, detail::BinarySearch>(random,
                                                                       reps));
-    table.add(kind + " simd" + suffix,
-              insert_throughput<Key, BlockSize, detail::SimdSearch>(random,
-                                                                    reps));
     table.add(kind + " fp" + suffix,
-              insert_throughput<Key, BlockSize, detail::SimdSearch, true>(
-                  random, reps));
+              insert_throughput<Key, BlockSize, DefaultAt<Key, BlockSize>,
+                                true>(random, reps));
 }
 
-/// One v1-vs-v2 probe pair at a given BlockSize: both cells run the
-/// SimdSearch kernel, so the delta is purely the leaf layout (fingerprint
-/// probe vs in-node lower-bound search).
+/// One v1-vs-v2 probe pair at a given BlockSize: both cells run the default
+/// in-node search, so the delta is purely the leaf layout (fingerprint probe
+/// vs in-node lower-bound search).
 template <typename Key, unsigned BlockSize>
 void run_probe(const std::string& kind, const std::vector<Key>& keys,
                const std::vector<Key>& probes, util::SeriesTable& table,
                unsigned reps) {
     const std::string suffix = ", " + std::to_string(BlockSize) + " keys";
-    table.add(kind + " probe simd" + suffix,
-              probe_throughput<Key, BlockSize, detail::SimdSearch, false>(
-                  keys, probes, reps));
+    table.add(kind + " probe v1" + suffix,
+              probe_throughput<Key, BlockSize, DefaultAt<Key, BlockSize>,
+                               false>(keys, probes, reps));
     table.add(kind + " probe fp" + suffix,
-              probe_throughput<Key, BlockSize, detail::SimdSearch, true>(
-                  keys, probes, reps));
+              probe_throughput<Key, BlockSize, DefaultAt<Key, BlockSize>,
+                               true>(keys, probes, reps));
 }
 
 std::vector<std::uint64_t> random_u64(std::size_t n) {
@@ -187,15 +185,14 @@ int main(int argc, char** argv) {
         "config");
     table.set_x({std::to_string(n) + " keys"});
     // Tuple<2> points: the paper's key type. Default BlockSize for Point is
-    // 32 — the cell the old DefaultSearch heuristic (linear) served.
+    // 32, where DefaultSearch picks linear (binary beyond 768 B of keys).
     run<Point, 8>("tuple", pts, table, reps);
     run<Point, 16>("tuple", pts, table, reps);
     run<Point, 32>("tuple", pts, table, reps);
     run<Point, 64>("tuple", pts, table, reps);
     run<Point, 128>("tuple", pts, table, reps);
-    // u64 scalars: identity column (zero extra storage), covers == true so
-    // the simd cells never touch the comparator. Default BlockSize is 64 —
-    // the cell the old heuristic handed to binary search.
+    // u64 scalars: one comparison decides each slot. Default BlockSize is
+    // 64, where DefaultSearch picks linear.
     run<std::uint64_t, 16>("u64", ints, table, reps);
     run<std::uint64_t, 64>("u64", ints, table, reps);
     run<std::uint64_t, 128>("u64", ints, table, reps);
@@ -204,7 +201,7 @@ int main(int argc, char** argv) {
     // Miss-dominated membership probes at the keys' default BlockSizes —
     // the workload leaf layout v2 targets (the evaluator's head-FULL filter
     // is mostly misses once a fixpoint saturates). scripts/bench.sh asserts
-    // the fp cells beat their simd siblings here.
+    // the fp cells beat their v1 siblings here.
     util::SeriesTable probes(
         "[ablation] miss-dominated membership probes, M probes/s", "config");
     probes.set_x({std::to_string(n) + " probes"});

@@ -67,12 +67,12 @@ inline std::string label(std::size_t side) {
 // -- storage policy flags ----------------------------------------------------
 
 /// The storage-policy knobs shared by every binary that instantiates the
-/// tree family — `--search=default|linear|binary|simd`, `--combine[=N]`,
+/// tree family — `--search=default|linear|binary`, `--combine[=N]`,
 /// `--fingerprints` — parsed once here so soufflette, fig4 and table2 cannot
 /// drift apart on flag syntax. Each binary documents which policies its rows
 /// or engine dispatch act on; parsing is uniform regardless.
 struct StoragePolicy {
-    enum class SearchMode { Default, Linear, Binary, Simd };
+    enum class SearchMode { Default, Linear, Binary };
 
     SearchMode search = SearchMode::Default; ///< --search= (in-node kernel)
     bool combine = false;                    ///< --combine[=N] given
@@ -92,11 +92,8 @@ inline bool parse_storage_policy(const util::Cli& cli, StoragePolicy& out) {
         out.search = StoragePolicy::SearchMode::Linear;
     } else if (s == "binary") {
         out.search = StoragePolicy::SearchMode::Binary;
-    } else if (s == "simd") {
-        out.search = StoragePolicy::SearchMode::Simd;
     } else {
-        std::cerr << "unknown --search=" << s
-                  << " (default|linear|binary|simd)\n";
+        std::cerr << "unknown --search=" << s << " (default|linear|binary)\n";
         return false;
     }
     out.combine = cli.has("combine");

@@ -2,7 +2,7 @@
 //
 //   ./build/bench/fig4_parallel_insert [--full] [--n=2000000] [--threads=1,2,4,8]
 //                                      [--sched=blocks|steal] [--grain=N]
-//                                      [--search=default|linear|binary|simd]
+//                                      [--search=default|linear|binary]
 //                                      [--json=FILE] [--smoke] [--combine]
 //                                      [--fingerprints]
 //
@@ -13,8 +13,7 @@
 // contiguous partition (now on the persistent pool); `steal` cuts the insert
 // range into grain-sized chunks rebalanced by work stealing.
 // --search overrides the in-node search policy of the "btree" rows (the
-// baselines never change): the scaling counterpart of bench/ablation_search,
-// isolating the SimdSearch kernel's contribution under contention.
+// baselines never change): the scaling counterpart of bench/ablation_search.
 // --combine adds a "btree (comb)" row running the combining-enabled tree
 // (DESIGN.md §14) at its default trigger threshold. Fig. 4's uniform keys
 // rarely trip the adaptive path — the row exists to show the policy costs
@@ -110,8 +109,6 @@ double run_our(const std::vector<Point>& pts, unsigned threads) {
             return run_one<OurBTreeWith<detail::LinearSearch, UseHints>>(pts, threads);
         case SearchMode::Binary:
             return run_one<OurBTreeWith<detail::BinarySearch, UseHints>>(pts, threads);
-        case SearchMode::Simd:
-            return run_one<OurBTreeWith<detail::SimdSearch, UseHints>>(pts, threads);
         case SearchMode::Default:
             break;
     }

@@ -41,8 +41,8 @@
 # instantiate the policy (DESIGN.md §14). The fingerprint record
 # (BENCH_fig4_fp.json, the --fingerprints leg) must show leaf layout v2 at
 # work — nonzero fp_probes / fp_skips / append_inserts — and the ablation's
-# probe table must show the v2 fingerprint cells beating the v1 simd cells
-# by >= 15% on miss-dominated membership probes; the default fig4/fig3/
+# probe table must show the v2 fingerprint cells beating the v1 default-search
+# cells by >= 15% on miss-dominated membership probes; the default fig4/fig3/
 # table2 records double as the fingerprints-OFF leg with all-zero fp
 # counters (DESIGN.md §15).
 
@@ -115,12 +115,6 @@ run() { # run <bench-binary> <output-name> [args...]
 
 run fig3_sequential     BENCH_fig3.json   "${FIG3_ARGS[@]}"
 run fig4_parallel_insert BENCH_fig4.json  "${FIG4_ARGS[@]}"
-# A/B companion record: the same sweep with the in-node search policy forced
-# to SimdSearch on the btree rows — the scaling counterpart of
-# bench/ablation_search, and the record the vector-kernel probes gate below
-# asserts on (the default record's Point trees deliberately run LinearSearch;
-# see DefaultSearch's measured thresholds in core/btree_detail.h).
-run fig4_parallel_insert BENCH_fig4_simd.json "${FIG4_ARGS[@]}" --search=simd
 # Leaf-layout-v2 companion record (DESIGN.md §15): the same sweep with a
 # "btree (fp)" row running the fingerprint/append-zone tree. The fingerprint
 # gates below assert this record really probed and appended, while the
@@ -148,7 +142,7 @@ if command -v python3 >/dev/null 2>&1; then
 import json, sys
 out = sys.argv[1]
 records = {}
-for name in ("BENCH_fig3.json", "BENCH_fig4.json", "BENCH_fig4_simd.json",
+for name in ("BENCH_fig3.json", "BENCH_fig4.json",
              "BENCH_fig4_fp.json", "BENCH_table2.json", "BENCH_fig5.json",
              "BENCH_ablation_search.json", "BENCH_zipf.json",
              "BENCH_snapshot.json", "BENCH_serve.json", "BENCH_net.json"):
@@ -165,28 +159,6 @@ for counter in ("btree_leaf_splits", "btree_root_replacements",
                 "hint_hits_insert", "lock_validations_failed"):
     assert m.get(counter, 0) > 0, f"fig4 counter {counter} is zero"
     print(f"   fig4 {counter} = {m[counter]}")
-# The vector-kernel gate lives on the --search=simd A/B record (the default
-# record's Point trees run LinearSearch by measurement — DefaultSearch's
-# thresholds in core/btree_detail.h — so zero probes there is expected, not
-# a regression). On the AVX2 hosts the checked-in records come from, every
-# descent of the forced-simd sweep must have gone through the vector kernel;
-# zero probes means the build lost DATATREE_SIMD or the dispatch regressed.
-# On a non-AVX2 host the scalar column kernel runs instead; accept that only
-# when search_scalar_fallbacks shows it still did the work.
-def check_kernel(tag, mm):
-    probes = mm.get("search_simd_probes", 0)
-    if probes == 0:
-        assert mm.get("search_scalar_fallbacks", 0) > 0, \
-            f"{tag}: neither search_simd_probes nor search_scalar_fallbacks fired"
-        print(f"   {tag} search_simd_probes = 0 (non-AVX2 host; scalar column "
-              f"kernel fallbacks = {mm['search_scalar_fallbacks']})")
-    else:
-        print(f"   {tag} search_simd_probes = {probes}")
-
-check_kernel("fig4_simd", records["BENCH_fig4_simd.json"]["metrics"])
-# The ablation's simd cells must likewise have exercised the column kernel.
-check_kernel("ablation", records["BENCH_ablation_search.json"]["metrics"])
-
 # Leaf layout v2 (DESIGN.md §15). The --fingerprints fig4 leg and the
 # ablation's fp cells must show the fingerprint machinery at work: probes
 # issued, misses answered without key loads (fp_skips), and in-leaf inserts
@@ -213,19 +185,19 @@ for name in ("BENCH_fig4.json", "BENCH_fig3.json", "BENCH_table2.json"):
 print("   fig4/fig3/table2 (fingerprints-off) fp counters all zero")
 
 # The point of the layout: on miss-dominated membership probes at the
-# default BlockSize, the v2 fingerprint probe must beat the v1 SimdSearch
-# column baseline by >= 15%.
+# default BlockSize, the v2 fingerprint probe must beat the v1 tree on the
+# same default in-node search by >= 15%.
 ptab = next(t for t in records["BENCH_ablation_search.json"]["throughput"]
             if "membership probes" in t["title"])
 for kind in ("tuple", "u64"):
-    simd = next(v for n, v in ptab["series"].items()
-                if n.startswith(f"{kind} probe simd"))[0]
+    v1 = next(v for n, v in ptab["series"].items()
+              if n.startswith(f"{kind} probe v1"))[0]
     fp = next(v for n, v in ptab["series"].items()
               if n.startswith(f"{kind} probe fp"))[0]
-    assert fp >= 1.15 * simd, \
-        f"ablation {kind} probe: fp {fp:.2f} M/s < 1.15x simd {simd:.2f} M/s"
-    print(f"   ablation {kind} probes: simd {simd:.2f} -> fp {fp:.2f} M/s "
-          f"({fp / simd:.2f}x)")
+    assert fp >= 1.15 * v1, \
+        f"ablation {kind} probe: fp {fp:.2f} M/s < 1.15x v1 {v1:.2f} M/s"
+    print(f"   ablation {kind} probes: v1 {v1:.2f} -> fp {fp:.2f} M/s "
+          f"({fp / v1:.2f}x)")
 
 table2 = records["BENCH_table2.json"]
 m2 = table2["metrics"]

@@ -6,10 +6,14 @@
 #               compiled with DATATREE_FAILPOINTS).
 #   2. TSan     concurrency + torture tests under -fsanitize=thread.
 #   3. ASan     the same under -fsanitize=address (skip with --no-asan).
+#   4. UBSan    full build + the full ctest suite under
+#               -fsanitize=undefined.
 #
-# The sanitizer passes build only the concurrency-relevant test targets and
-# filter ctest accordingly: the full suite is too slow to run instrumented,
-# and the sequential frontend/regress tests add no sanitizer coverage.
+# The TSan/ASan passes build only the concurrency-relevant test targets and
+# filter ctest accordingly: the full suite is too slow to run under them,
+# and the sequential frontend/regress tests add no race or lifetime
+# coverage. UBSan is cheap enough to run everything, and undefined behaviour
+# can hide in sequential code just as well.
 #
 # Usage: scripts/check.sh [--no-asan]
 # Env:   JOBS=<n>  build/test parallelism (default: nproc)
@@ -35,17 +39,16 @@ CONC_TARGETS=(torture_btree_test optimistic_lock_test btree_concurrent_test
               btree_bulk_merge_test btree_search_test btree_snapshot_test
               btree_combine_test datalog_ingest_test net_server_test)
 # ctest -R filter matching exactly the tests those targets register.
-CONC_FILTER='Torture|OptimisticLock|AbortWrite|Concurrent|SmallNode|Hint|Scheduler|BulkMerge|FromSorted|SampleSeparators|SearchEquivalence|SimdLane|ColumnCache|SearchMetrics|Snapshot|Ingest|NetServer|Combine'
-# The TSan leg doubles as the scalar-fallback proof for SimdSearch: TSan
-# builds force DTREE_SIMD_VECTOR off (src/core/race_access.h), so the same
-# equivalence + torture tests run the branch-free Access::load column scan
-# and must still pass — the data-race-free path is fully covered. The same
-# goes for leaf layout v2 (DESIGN.md §15): the Fp* equivalence and torture
-# variants run the scalar fingerprint scan here, with TSan checking the
-# append-zone publish ordering (key elements before the fp byte).
+CONC_FILTER='Torture|OptimisticLock|AbortWrite|Concurrent|SmallNode|Hint|Scheduler|BulkMerge|FromSorted|SampleSeparators|SearchEquivalence|SearchMetrics|Snapshot|Ingest|NetServer|Combine'
+# The TSan leg doubles as the scalar-fallback proof for the fingerprint
+# kernel of leaf layout v2 (DESIGN.md §15): TSan builds force
+# DTREE_SIMD_VECTOR off (src/core/race_access.h), so the Fp* equivalence and
+# torture variants run the scalar fingerprint scan here, with TSan checking
+# the append-zone publish ordering (key elements before the fp byte).
 
 export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1 second_deadlock_stack=1}"
 export ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=1}"
+export UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1}"
 
 echo "== [1] tier-1: Release build + full ctest (incl. failpoint torture) =="
 cmake -B build -S . >/dev/null
@@ -63,5 +66,10 @@ if [[ "$RUN_ASAN" == 1 ]]; then
   cmake --build build-asan -j"$JOBS" --target "${CONC_TARGETS[@]}"
   (cd build-asan && ctest --output-on-failure -j"$JOBS" -R "$CONC_FILTER")
 fi
+
+echo "== [4] UBSan: full build + full ctest =="
+cmake -B build-ubsan -S . -DDATATREE_SANITIZE=undefined >/dev/null
+cmake --build build-ubsan -j"$JOBS"
+(cd build-ubsan && ctest --output-on-failure -j"$JOBS")
 
 echo "== all checks passed =="

@@ -54,7 +54,7 @@ namespace detail {
 /// Tree-level snapshot/epoch state (DESIGN.md §11), attached to the btree
 /// through [[no_unique_address]] and specialised to an empty struct for
 /// non-snapshot trees so the paper-faithful configuration stays bit-identical
-/// in layout and behaviour (the PR-5 column-store pattern).
+/// in layout and behaviour (the same pattern as the per-node SnapState).
 template <typename NodeT, bool Concurrent, bool Present>
 struct SnapTreeState {
     /// One entry per *root replacement*: `root` is the PREVIOUS root pointer
@@ -110,10 +110,8 @@ template <typename Key,
           bool WithSnapshots = false,
           bool WithCombining = false,
           bool WithFingerprints = false,
-          typename Alloc = NewDeleteNodeAlloc<
-              Key, BlockSize, Access,
-              detail::search_wants_column<Search>(), WithSnapshots,
-              WithFingerprints>>
+          typename Alloc = NewDeleteNodeAlloc<Key, BlockSize, Access,
+                                              WithSnapshots, WithFingerprints>>
 class btree {
     static_assert(BlockSize >= 3, "nodes must hold at least three keys");
     static_assert(!WithCombining || Access::concurrent,
@@ -124,24 +122,10 @@ class btree {
                   "leaf layout v2 needs a key_fingerprint overload for this "
                   "key type (core/tuple.h provides arithmetic keys and "
                   "Tuple<Arity>)");
-    static_assert(detail::search_policy_viable<Search, Key, Compare>(),
-                  "the configured Search policy cannot index this (Key, "
-                  "Compare) pair: SimdSearch needs a key with an arithmetic "
-                  "first column (first_column<Key>::available) AND a "
-                  "comparator ordered by that column "
-                  "(comparator_respects_first_column<Compare, Key>, "
-                  "core/comparator.h). Use LinearSearch/BinarySearch, or "
-                  "specialise the traits for your key/comparator.");
-
-    /// Nodes carry the SoA column cache only when the search policy reads it
-    /// (SimdSearch); Linear/Binary trees keep the bare pre-column layout and
-    /// pay zero maintenance.
-    static constexpr bool with_column = detail::search_wants_column<Search>();
-
-    using NodeT = detail::Node<Key, BlockSize, Access, with_column,
-                               WithSnapshots, WithFingerprints>;
-    using InnerT = detail::InnerNode<Key, BlockSize, Access, with_column,
-                                     WithSnapshots, WithFingerprints>;
+    using NodeT =
+        detail::Node<Key, BlockSize, Access, WithSnapshots, WithFingerprints>;
+    using InnerT = detail::InnerNode<Key, BlockSize, Access, WithSnapshots,
+                                     WithFingerprints>;
     using Lease = OptimisticReadWriteLock::Lease;
     static constexpr bool concurrent = Access::concurrent;
     using ImageT = typename NodeT::SnapImageT;
@@ -156,7 +140,7 @@ class btree {
     static_assert(!WithSnapshots ||
                       std::is_same_v<Alloc, NewDeleteNodeAlloc<
                                                 Key, BlockSize, Access,
-                                                with_column, WithSnapshots,
+                                                WithSnapshots,
                                                 WithFingerprints>>,
                   "snapshot-enabled trees require the default new/delete "
                   "node allocator");
@@ -165,7 +149,7 @@ public:
     using key_type = Key;
     using value_type = Key;
     using const_iterator =
-        detail::Iterator<Key, BlockSize, Access, with_column, WithSnapshots,
+        detail::Iterator<Key, BlockSize, Access, WithSnapshots,
                          WithFingerprints, Compare>;
     using iterator = const_iterator; // keys are immutable once stored
     static constexpr unsigned block_size = BlockSize;
@@ -581,7 +565,6 @@ public:
             }
             const NodeT* next = cur->as_inner()->children[pos].load();
             detail::prefetch_node(next);
-            detail::prefetch_tie_sibling<Access>(cur, pos, n, k);
             cur = next;
         }
     }
@@ -651,7 +634,6 @@ public:
             if (pos < n) best = make_iter(cur, pos);
             const NodeT* next = cur->as_inner()->children[pos].load();
             detail::prefetch_node(next);
-            detail::prefetch_tie_sibling<Access>(cur, pos, n, k);
             cur = next;
         }
     }
@@ -710,7 +692,6 @@ public:
             if (pos < n) best = make_iter(cur, pos);
             const NodeT* next = cur->as_inner()->children[pos].load();
             detail::prefetch_node(next);
-            detail::prefetch_tie_sibling<Access>(cur, pos, n, k);
             cur = next;
         }
     }
@@ -1025,7 +1006,7 @@ private:
     }
 
     /// First index in the view whose key is >= k (plain binary search over
-    /// the private copy; the SIMD kernels only exist for live node layouts).
+    /// the private copy).
     unsigned view_lower(const NodeView& v, const Key& k) const {
         unsigned lo = 0, hi = v.n;
         while (lo < hi) {
@@ -1277,8 +1258,6 @@ private:
             if (!cur->inner) break;
             NodeT* next = cur->as_inner()->children[pos].load();
             detail::prefetch_node(next);
-            detail::prefetch_tie_sibling<SeqAccess>(
-                const_cast<const NodeT*>(cur), pos, n, k);
             cur = next;
         }
 
@@ -1430,15 +1409,12 @@ private:
             }
             if (cur->inner) {
                 NodeT* next = cur->as_inner()->children[pos].load();
-                // Prefetch the chosen child (and, on a first-column tie, the
-                // adjacent candidate) BEFORE the parent's lease validates:
-                // the miss overlaps the validation fence + child lease
-                // acquisition below, and prefetching a pointer a failed
+                // Prefetch the chosen child BEFORE the parent's lease
+                // validates: the miss overlaps the validation fence + child
+                // lease acquisition below, and prefetching a pointer a failed
                 // validation is about to reject is harmless (nodes are never
                 // freed while the tree lives).
                 detail::prefetch_node(next);
-                detail::prefetch_tie_sibling<Access>(
-                    const_cast<const NodeT*>(cur), pos, n, k);
                 // Validate before dereferencing the child pointer: only a
                 // committed pointer is guaranteed to reference a node.
                 if (!cur->lock.validate(cur_lease)) return std::nullopt;
@@ -1933,7 +1909,7 @@ private:
         }
         const unsigned moved = BlockSize - mid - 1;
         for (unsigned i = 0; i < moved; ++i) {
-            // Sibling unpublished: plain stores (column mirrored alongside).
+            // Sibling unpublished: plain stores.
             sibling->template key_copy_from<SeqAccess>(i, *node, mid + 1 + i);
         }
         if (node->inner) {
@@ -2613,7 +2589,6 @@ private:
             }
             const NodeT* next = cur->as_inner()->children[pos].load();
             detail::prefetch_node(next);
-            detail::prefetch_tie_sibling<Access>(cur, pos, n, k);
             if (!cur->lock.validate(cur_lease)) return std::nullopt;
             const Lease next_lease = next->lock.start_read();
             if (!cur->lock.validate(cur_lease)) return std::nullopt;
@@ -2623,8 +2598,7 @@ private:
     }
 
     /// In-node search position: lower bound for sets (duplicates rejected),
-    /// upper bound for multisets (duplicates cluster to the right). Funnels
-    /// through the node-aware dispatch so SimdSearch sees the column cache.
+    /// upper bound for multisets (duplicates cluster to the right).
     unsigned search_pos(const NodeT* node, unsigned n, const Key& k) const {
         if constexpr (AllowDuplicates) {
             return detail::node_upper<Search, SeqAccess>(node, n, k, comp_);
@@ -2737,7 +2711,6 @@ private:
         const unsigned cnt = n->num_elements.load();
         if (cnt == 0) return "empty node";
         if (cnt > BlockSize) return "over-full node";
-        if (!n->column_in_sync()) return "first-column cache out of sync";
         // Every non-root node was produced by a median split and can only
         // have grown since: minimum fill is BlockSize/2 - 1.
         if (n->parent.load() != nullptr && cnt + 1 < BlockSize / 2) {
@@ -2895,8 +2868,7 @@ template <typename Key, typename Compare = ThreeWayComparator<Key>,
 using arena_btree_set =
     btree<Key, Compare, BlockSize, Search, ConcurrentAccess, false, false,
           false, false,
-          ArenaNodeAlloc<Key, BlockSize, ConcurrentAccess,
-                         detail::search_wants_column<Search>()>>;
+          ArenaNodeAlloc<Key, BlockSize, ConcurrentAccess>>;
 
 template <typename Key, typename Compare = ThreeWayComparator<Key>,
           unsigned BlockSize = detail::default_block_size<Key>(),
@@ -2904,8 +2876,7 @@ template <typename Key, typename Compare = ThreeWayComparator<Key>,
 using arena_seq_btree_set =
     btree<Key, Compare, BlockSize, Search, SeqAccess, false, false, false,
           false,
-          ArenaNodeAlloc<Key, BlockSize, SeqAccess,
-                         detail::search_wants_column<Search>()>>;
+          ArenaNodeAlloc<Key, BlockSize, SeqAccess>>;
 
 /// Snapshot-enabled variants (DESIGN.md §11): the same tree plus the
 /// epoch/Snapshot API. The plain aliases above stay bit-identical to the

@@ -33,7 +33,7 @@
 namespace dtree::detail {
 
 /// Prefetch the hot head of a node: its lock/header line plus the start of
-/// the key-column cache (which directly follows the header, see Node below).
+/// the key array (which directly follows the header, see Node below).
 /// Issued on the pointer loaded during descent, BEFORE the parent's lease is
 /// validated — prefetching is side-effect-free, so even a stale pointer that
 /// validation is about to reject is safe to prefetch (nodes are never freed
@@ -56,25 +56,11 @@ constexpr unsigned default_block_size() {
     return n < 3 ? 3u : static_cast<unsigned>(n);
 }
 
-/// True when the key array is itself a dense, fully-covering first-column
-/// array: scalars (identity) and Tuple<1> (layout-compatible with one).
-template <typename Key>
-constexpr bool dense_column_key() {
-    using FC = dtree::first_column<Key>;
-    if constexpr (!FC::available) {
-        return false;
-    } else {
-        return FC::identity ||
-               (FC::covers && sizeof(Key) == sizeof(typename FC::type) &&
-                std::is_standard_layout_v<Key>);
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Nodes
 // ---------------------------------------------------------------------------
 
-template <typename Key, unsigned BlockSize, typename Access, bool WithColumn,
+template <typename Key, unsigned BlockSize, typename Access,
           bool WithSnapshots, bool WithFingerprints>
 struct InnerNode;
 
@@ -165,86 +151,18 @@ struct FpState {
 template <typename Key, unsigned BlockSize, bool Concurrent>
 struct FpState<Key, BlockSize, Concurrent, false> {};
 
-/// Storage for an inner node's separate first-column cache; specialised away
-/// to an empty member when the key has no usable column, the key array
-/// doubles as the column (scalars, Tuple<1>), or the register-deinterleaving
-/// pair kernel serves the key with no stored mirror at all (Tuple<2>).
-template <typename C, unsigned N, bool Present>
-struct ColumnStore {
-    C col[N];
-};
-template <typename C, unsigned N>
-struct ColumnStore<C, N, false> {};
-
-/// Second-column cache storage (distinct type so both empty stores can share
-/// a [[no_unique_address]] byte without colliding).
-template <typename C, unsigned N, bool Present>
-struct Column2Store {
-    C col[N];
-};
-template <typename C, unsigned N>
-struct Column2Store<C, N, false> {};
-
 /// Common node header + key storage. Leaf nodes are exactly this; inner
-/// nodes extend it with a child-pointer array and the SoA column caches.
-///
-/// Cache-conscious layout (DESIGN.md §10): the search kernels want a dense
-/// column view of keys[i]'s leading element(s), and the node provides it in
-/// the cheapest form per key shape — stored only where storing wins:
-///   * scalars / Tuple<1> (dense_keys): keys[] IS the column, zero storage;
-///   * Tuple<2> (pair_keys — the paper's key type): NO node stores anything;
-///     the SimdSearch kernel materialises both columns *in registers*,
-///     deinterleaving the AoS pairs with two shuffles per 4 keys. Two
-///     storage-based designs measurably lost here (EXPERIMENTS.md, search
-///     ablation note): leaf mirrors inflated the footprint leaves dominate
-///     (544 B -> 1056 B per Point leaf) and lost at scale, and inner-only
-///     mirrors lost to the register kernel reading the same AoS lines;
-///   * Tuple<Arity>=3>: *inner* nodes — a ~1/B, cache-resident fraction of
-///     the tree — keep dense SoA mirrors of the first and second elements,
-///     narrowing descent to a tie range for the 3-way comparator; leaf
-///     footprint stays untouched.
-///
-/// The inner-node mirrors are maintained by the key_store / key_move /
-/// key_copy_from helpers below — every key write in core/btree.h goes
-/// through them — under exactly the locks that protect keys[] itself, so
-/// the seqlock discipline is unchanged.
-///
-/// WithColumn is the *policy's* vote (search_wants_column): trees running
-/// the classic LinearSearch/BinarySearch kernels never read a column, so
-/// they skip the storage and the maintenance entirely — their node layout
-/// and write paths stay bit-identical to the pre-column tree.
+/// nodes extend it with a child-pointer array.
 template <typename Key, unsigned BlockSize, typename Access,
-          bool WithColumn = true, bool WithSnapshots = false,
-          bool WithFingerprints = false>
+          bool WithSnapshots = false, bool WithFingerprints = false>
 struct Node {
     static constexpr bool concurrent = Access::concurrent;
     static constexpr bool with_snapshots = WithSnapshots;
     static constexpr bool with_fingerprints = WithFingerprints;
-    using Inner = InnerNode<Key, BlockSize, Access, WithColumn, WithSnapshots,
+    using Inner = InnerNode<Key, BlockSize, Access, WithSnapshots,
                             WithFingerprints>;
     using SnapImageT = SnapImage<Key, BlockSize>;
     using SnapInnerImageT = SnapInnerImage<Key, BlockSize, Node>;
-    using FirstCol = dtree::first_column<Key>;
-    /// The tree's search policy reads column views of this node's keys.
-    static constexpr bool has_column = WithColumn && FirstCol::available;
-    using col_type = typename FirstCol::type;
-    /// keys[] is itself a dense, fully-covering column array (scalars;
-    /// Tuple<1> is layout-compatible with one).
-    static constexpr bool dense_keys = dense_column_key<Key>();
-    /// Pair keys (Tuple<2>): the interleaved register kernel serves BOTH
-    /// node kinds straight off the AoS key array, so no node stores any
-    /// mirror (measured: the two-pass inner column scan loses to the pair
-    /// kernel on the same data — see DESIGN.md §10).
-    static constexpr bool pair_keys = has_column && !dense_keys &&
-                                      FirstCol::second_available &&
-                                      FirstCol::pair_covers;
-    /// Inner nodes carry physically separate column caches only for keys
-    /// that are neither dense nor pair-coverable (Tuple<Arity >= 3>).
-    static constexpr bool inner_columns =
-        has_column && !dense_keys && !pair_keys;
-    /// Inner nodes also cache the second element (narrowing ties further).
-    static constexpr bool inner_column2 =
-        inner_columns && FirstCol::second_available;
 
     /// Per-node optimistic read-write lock (unused by the sequential
     /// instantiation; one idle word keeps the layouts identical).
@@ -301,25 +219,15 @@ struct Node {
         }
     }
 
-    // -- key mutation (the ONLY writers of keys[] / the column caches) -------
+    // -- key mutation (the ONLY writers of keys[] / the fingerprints) --------
     // A = SeqAccess for exclusive or unpublished nodes, the tree's Access
     // policy when racy readers may be scanning (i.e. under a held write
     // lock in the concurrent tree).
 
-    /// keys[i] = k; an inner node's column mirrors are kept in sync. The
-    /// `inner` test is a perfectly predicted branch on the leaf hot path.
+    /// keys[i] = k; a v2 leaf's fingerprint byte is kept in sync.
     template <typename A>
     void key_store(unsigned i, const Key& k) {
         A::store(keys[i], k);
-        if constexpr (inner_columns) {
-            if (inner) {
-                auto* in = static_cast<Inner*>(this);
-                A::store(in->col_.col[i], FirstCol::extract(k));
-                if constexpr (inner_column2) {
-                    A::store(in->col2_.col[i], FirstCol::extract_second(k));
-                }
-            }
-        }
         if constexpr (WithFingerprints) {
             // Fingerprint AFTER the key elements: a racy probe that sees the
             // byte sees the whole key (release publish, fp_publish above).
@@ -333,15 +241,6 @@ struct Node {
     template <typename A>
     void key_move(unsigned dst, unsigned src) {
         A::store(keys[dst], keys[src]);
-        if constexpr (inner_columns) {
-            if (inner) {
-                auto* in = static_cast<Inner*>(this);
-                A::store(in->col_.col[dst], in->col_.col[src]);
-                if constexpr (inner_column2) {
-                    A::store(in->col2_.col[dst], in->col2_.col[src]);
-                }
-            }
-        }
         if constexpr (WithFingerprints) {
             if (!inner) fp_publish<A>(dst, fpst.fp[src]);
         }
@@ -352,44 +251,9 @@ struct Node {
     template <typename A>
     void key_copy_from(unsigned dst, const Node& src_node, unsigned src) {
         A::store(keys[dst], src_node.keys[src]);
-        if constexpr (inner_columns) {
-            if (inner) {
-                assert(src_node.inner);
-                auto* in = static_cast<Inner*>(this);
-                const auto* sin = static_cast<const Inner*>(&src_node);
-                A::store(in->col_.col[dst], sin->col_.col[src]);
-                if constexpr (inner_column2) {
-                    A::store(in->col2_.col[dst], sin->col2_.col[src]);
-                }
-            }
-        }
         if constexpr (WithFingerprints) {
             if (!inner) fp_publish<A>(dst, src_node.fpst.fp[src]);
         }
-    }
-
-    /// Column coherence check for the invariant walker (sequential use):
-    /// true iff an inner node's caches mirror keys[i] for all valid slots.
-    /// Leaves store no mirror and are vacuously in sync.
-    bool column_in_sync() const {
-        if constexpr (inner_columns) {
-            if (inner) {
-                const auto* in = static_cast<const Inner*>(this);
-                const std::uint32_t cnt = num_elements.load();
-                for (std::uint32_t i = 0; i < cnt; ++i) {
-                    if (in->col_.col[i] != FirstCol::extract(keys[i])) {
-                        return false;
-                    }
-                    if constexpr (inner_column2) {
-                        if (in->col2_.col[i] !=
-                            FirstCol::extract_second(keys[i])) {
-                            return false;
-                        }
-                    }
-                }
-            }
-        }
-        return true;
     }
 
     Inner* as_inner() {
@@ -403,25 +267,11 @@ struct Node {
 };
 
 template <typename Key, unsigned BlockSize, typename Access,
-          bool WithColumn = true, bool WithSnapshots = false,
-          bool WithFingerprints = false>
-struct InnerNode : Node<Key, BlockSize, Access, WithColumn, WithSnapshots,
+          bool WithSnapshots = false, bool WithFingerprints = false>
+struct InnerNode : Node<Key, BlockSize, Access, WithSnapshots,
                         WithFingerprints> {
-    using Base =
-        Node<Key, BlockSize, Access, WithColumn, WithSnapshots, WithFingerprints>;
-    using col_type = typename Base::col_type;
+    using Base = Node<Key, BlockSize, Access, WithSnapshots, WithFingerprints>;
     static constexpr bool concurrent = Access::concurrent;
-
-    /// First-column cache; col_.col[i] == FirstCol::extract(keys[i]) for
-    /// every valid slot. Declared right after the base's keys[] so the
-    /// separator payload and its mirrors stay adjacent. Protected by this
-    /// node's lock, same as keys[].
-    [[no_unique_address]] ColumnStore<col_type, BlockSize,
-                                      Base::inner_columns> col_;
-
-    /// Second-column cache; col2_.col[i] == extract_second(keys[i]).
-    [[no_unique_address]] Column2Store<col_type, BlockSize,
-                                       Base::inner_column2> col2_;
 
     /// children[i] precedes keys[i]; children[num_elements] is the last.
     /// Protected by this node's lock.
@@ -430,26 +280,13 @@ struct InnerNode : Node<Key, BlockSize, Access, WithColumn, WithSnapshots,
     InnerNode() : Base(/*is_inner=*/true) {
         for (auto& c : children) c.store(nullptr);
     }
-
-    /// The dense first-column array (aliases keys[] for scalar keys). Only
-    /// instantiable when has_column.
-    const col_type* column() const {
-        if constexpr (Base::FirstCol::identity) {
-            return this->keys;
-        } else {
-            return col_.col;
-        }
-    }
-
-    /// The dense second-column array. Only instantiable when inner_column2.
-    const col_type* column2() const { return col2_.col; }
 };
 
 /// Frees a node and, recursively, everything below it. Only safe without
 /// concurrent users (destructor / clear()).
-template <typename Key, unsigned BlockSize, typename Access, bool WithColumn,
+template <typename Key, unsigned BlockSize, typename Access,
           bool WithSnapshots, bool WithFingerprints>
-void free_subtree(Node<Key, BlockSize, Access, WithColumn, WithSnapshots,
+void free_subtree(Node<Key, BlockSize, Access, WithSnapshots,
                        WithFingerprints>* n) {
     if (!n) return;
     if (n->inner) {
@@ -469,10 +306,6 @@ void free_subtree(Node<Key, BlockSize, Access, WithColumn, WithSnapshots,
 /// Linear scan with the 3-way comparator. For small nodes and cheap keys the
 /// branch predictor makes this faster than binary search.
 struct LinearSearch {
-    /// Never reads the column caches — trees configured with this policy
-    /// skip the column storage and maintenance entirely.
-    static constexpr bool uses_column = false;
-
     /// First index in [0, n) whose key is >= k, else n.
     template <typename Access, typename Key, typename Comp>
     static unsigned lower(const Key* keys, unsigned n, const Key& k, const Comp& comp) {
@@ -493,8 +326,6 @@ struct LinearSearch {
 /// Binary search; O(log B) comparisons per node, the right choice for wide
 /// nodes and expensive comparators.
 struct BinarySearch {
-    static constexpr bool uses_column = false;
-
     template <typename Access, typename Key, typename Comp>
     static unsigned lower(const Key* keys, unsigned n, const Key& k, const Comp& comp) {
         unsigned lo = 0, hi = n;
@@ -525,181 +356,21 @@ struct BinarySearch {
 };
 
 // ---------------------------------------------------------------------------
-// Vectorized column scan (the SimdSearch kernel)
+// Fingerprint byte kernel (leaf layout v2, DESIGN.md §15)
 // ---------------------------------------------------------------------------
 
 namespace simd {
 
-/// Result of one column scan: how many of the n sorted column entries are
-/// strictly less than / less-or-equal to the probe column. `lt` is the first
-/// index whose column >= probe, `le` the first whose column > probe;
-/// [lt, le) is the tie range sharing the probe's first column.
-struct Bounds {
-    unsigned lt = 0;
-    unsigned le = 0;
-};
-
-/// Sign-flip mask mapping this column type onto signed integers with the
-/// same ordering: AVX2 has only signed compares, so unsigned columns are
-/// XOR-ed with the sign bit (probe AND every loaded lane — both sides must
-/// shift by the same constant) before comparing. Signed columns need none.
-template <typename C>
-constexpr auto order_mask() {
-    if constexpr (sizeof(C) == 8) {
-        return std::is_signed_v<C> ? 0ll
-                                   : static_cast<long long>(1ull << 63);
-    } else {
-        return std::is_signed_v<C> ? 0 : static_cast<int>(0x80000000u);
-    }
-}
-
-/// Maps a column value onto a signed integer with the same ordering.
-template <typename C>
-constexpr auto to_ordered(C v) {
-    if constexpr (sizeof(C) == 8) {
-        return static_cast<long long>(v) ^ order_mask<C>();
-    } else {
-        return static_cast<int>(v) ^ order_mask<C>();
-    }
-}
-
-/// Column types the vector kernel handles: 4- or 8-byte integers. Floating
-/// and exotic columns take the scalar (branch-free) path below.
-template <typename C>
-inline constexpr bool vectorizable =
-    std::is_integral_v<C> && (sizeof(C) == 8 || sizeof(C) == 4);
-
 #if DTREE_SIMD_VECTOR
 
-/// One-shot runtime ISA dispatch: the kernels are compiled with the
+/// One-shot runtime ISA dispatch: the kernel is compiled with the
 /// target("avx2") attribute (no global -mavx2 codegen shift) and only taken
 /// when the CPU reports AVX2.
 inline bool have_avx2() {
     // __builtin_cpu_supports reads a libgcc global initialised before main —
     // no function-local static (whose thread-safe guard would cost an
-    // acquire-load + branch on every node visited).
+    // acquire-load + branch on every probe).
     return __builtin_cpu_supports("avx2") != 0;
-}
-
-/// AVX2 count of (col[i] < c, col[i] <= c) over 64-bit columns. The loads
-/// are RACY BY DESIGN — see the vector-load shim notes in race_access.h:
-/// they run only inside a start_read/validate window (or under a held write
-/// lock), every lane contributes 0 or 1 so even torn data yields counts in
-/// [0, n], and results are discarded unless the lease validates.
-__attribute__((target("avx2"))) inline Bounds bounds_avx2_64(
-    const void* col, unsigned n, long long c, long long mask) {
-    const auto* p = static_cast<const long long*>(col);
-    const __m256i vc = _mm256_set1_epi64x(c);
-    const __m256i vm = _mm256_set1_epi64x(mask);
-    unsigned lt = 0, le = 0, i = 0;
-    for (; i + 4 <= n; i += 4) {
-        const __m256i v = _mm256_xor_si256(
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + i)), vm);
-        const unsigned mlt = static_cast<unsigned>(
-            _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpgt_epi64(vc, v))));
-        const unsigned mgt = static_cast<unsigned>(
-            _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpgt_epi64(v, vc))));
-        lt += static_cast<unsigned>(__builtin_popcount(mlt));
-        le += 4u - static_cast<unsigned>(__builtin_popcount(mgt));
-        // Sorted column: a lane above the probe means every later entry is
-        // above too — stop without touching the remaining cache lines.
-        if (mgt != 0) return Bounds{lt, le};
-    }
-    for (; i < n; ++i) {
-        const long long v = p[i] ^ mask;
-        lt += v < c;
-        le += v <= c;
-        if (v > c) break;
-    }
-    return Bounds{lt, le};
-}
-
-/// AVX2 count over 32-bit columns (8 lanes per vector).
-__attribute__((target("avx2"))) inline Bounds bounds_avx2_32(
-    const void* col, unsigned n, int c, int mask) {
-    const auto* p = static_cast<const int*>(col);
-    const __m256i vc = _mm256_set1_epi32(c);
-    const __m256i vm = _mm256_set1_epi32(mask);
-    unsigned lt = 0, le = 0, i = 0;
-    for (; i + 8 <= n; i += 8) {
-        const __m256i v = _mm256_xor_si256(
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + i)), vm);
-        const unsigned mlt = static_cast<unsigned>(
-            _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_cmpgt_epi32(vc, v))));
-        const unsigned mgt = static_cast<unsigned>(
-            _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_cmpgt_epi32(v, vc))));
-        lt += static_cast<unsigned>(__builtin_popcount(mlt));
-        le += 8u - static_cast<unsigned>(__builtin_popcount(mgt));
-        if (mgt != 0) return Bounds{lt, le};
-    }
-    for (; i < n; ++i) {
-        const int v = p[i] ^ mask;
-        lt += v < c;
-        le += v <= c;
-        if (v > c) break;
-    }
-    return Bounds{lt, le};
-}
-
-/// AVX2 lexicographic (first, second)-element bounds over a sorted array of
-/// PAIR keys stored AoS (Tuple<2, 8-byte integral>): loads 4 whole tuples
-/// (two 256-bit vectors), deinterleaves the two columns in registers with
-/// two unpacks — unpacklo/hi permute lanes identically, so per-lane pairing
-/// survives and lane ORDER is irrelevant to the popcount accumulation — and
-/// counts lanes lexicographically below / not-above the probe. Early-exits
-/// at the first block containing a lane above the probe (the array is
-/// sorted, later blocks contribute nothing), so it touches the same prefix
-/// of cache lines an early-exit scalar scan would. Racy-by-design like the
-/// column kernels above (race_access.h shim notes apply verbatim: these are
-/// plain vector loads of the node's key array inside a lease window).
-__attribute__((target("avx2"))) inline Bounds pair_bounds_avx2_64(
-    const void* keys, unsigned n, long long c0, long long c1,
-    long long mask) {
-    const auto* p = static_cast<const long long*>(keys);
-    const __m256i vm = _mm256_set1_epi64x(mask);
-    const __m256i vc0 = _mm256_set1_epi64x(c0);
-    const __m256i vc1 = _mm256_set1_epi64x(c1);
-    unsigned lt = 0, le = 0, i = 0;
-    for (; i + 4 <= n; i += 4) {
-        const __m256i v0 = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(p + 2 * i));
-        const __m256i v1 = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(p + 2 * i + 4));
-        const __m256i lo = _mm256_xor_si256(_mm256_unpacklo_epi64(v0, v1), vm);
-        const __m256i hi = _mm256_xor_si256(_mm256_unpackhi_epi64(v0, v1), vm);
-        const __m256i lt0 = _mm256_cmpgt_epi64(vc0, lo);
-        const __m256i eq0 = _mm256_cmpeq_epi64(lo, vc0);
-        const __m256i lt1 = _mm256_cmpgt_epi64(vc1, hi);
-        const __m256i gt1 = _mm256_cmpgt_epi64(hi, vc1);
-        // lex<  = (k0 < c0) | (k0 == c0 & k1 < c1)
-        // lex<= = (k0 < c0) | (k0 == c0 & ~(k1 > c1))
-        const __m256i ltx =
-            _mm256_or_si256(lt0, _mm256_and_si256(eq0, lt1));
-        const __m256i lex =
-            _mm256_or_si256(lt0, _mm256_andnot_si256(gt1, eq0));
-        const unsigned mlt = static_cast<unsigned>(
-            _mm256_movemask_pd(_mm256_castsi256_pd(ltx)));
-        const unsigned mle = static_cast<unsigned>(
-            _mm256_movemask_pd(_mm256_castsi256_pd(lex)));
-        lt += static_cast<unsigned>(__builtin_popcount(mlt));
-        le += static_cast<unsigned>(__builtin_popcount(mle));
-        if (mle != 0xFu) return Bounds{lt, le};
-    }
-    for (; i < n; ++i) {
-        const long long a0 = p[2 * i] ^ mask;
-        const long long a1 = p[2 * i + 1] ^ mask;
-        if (a0 < c0 || (a0 == c0 && a1 < c1)) {
-            ++lt;
-            ++le;
-            continue;
-        }
-        if (a0 == c0 && a1 == c1) {
-            ++le;
-            continue;
-        }
-        break;
-    }
-    return Bounds{lt, le};
 }
 
 /// AVX2 byte-equality mask over one 32-byte fingerprint chunk: bit i of the
@@ -722,148 +393,6 @@ __attribute__((target("avx2"))) inline std::uint32_t fp_eq_mask_avx2(
 inline bool have_avx2() { return false; }
 
 #endif // DTREE_SIMD_VECTOR
-
-/// Whether probes on this column type actually take the vector kernel in
-/// this build on this CPU (tests and bench.sh condition their counter
-/// assertions on it).
-template <typename C>
-inline bool vector_active() {
-    return DTREE_SIMD_VECTOR != 0 && vectorizable<C> && have_avx2();
-}
-
-/// Branch-free scalar column scan — the TSan-clean fallback. Reads go
-/// through Access::load (relaxed atomic_ref in the concurrent tree), so the
-/// sanitizer sees a well-ordered seqlock reader; the setcc-style accumulation
-/// keeps it free of data-dependent branches like the vector path.
-template <typename Access, typename C>
-inline Bounds bounds_scalar(const C* col, unsigned n, C c) {
-    Bounds b;
-    for (unsigned i = 0; i < n; ++i) {
-        const C v = Access::load(col[i]);
-        b.lt += static_cast<unsigned>(v < c);
-        b.le += static_cast<unsigned>(v <= c);
-    }
-    return b;
-}
-
-/// Column scan entry point: vector kernel when compiled in + CPU-supported +
-/// the column width qualifies, else the scalar fallback. Counter accounting
-/// (search_simd_probes / search_scalar_fallbacks) lives here so every caller
-/// reports uniformly.
-///
-/// Guarded controls the O(1) boundary guards. They pay off on the dense
-/// column caches of *inner* nodes — cache-resident, tie-dominated (Datalog's
-/// duplicated first columns make whole-node tie ranges the common separator
-/// pattern), where first == last resolves with two loads instead of a scan.
-/// They are turned OFF for cold leaf key arrays: there, touching col[n - 1]
-/// costs the node's last cache line on the critical path while the
-/// early-exit scan usually stops well before it.
-template <typename Access, typename C, bool Guarded = true>
-inline Bounds column_bounds(const C* col, unsigned n, C c) {
-    if (n == 0) return Bounds{0, 0};
-    if constexpr (Guarded) {
-        // Guard loads follow the same Access discipline as the scan
-        // (racy-by-design under the optimistic protocol, results discarded
-        // on validation failure).
-        const C first = Access::load(col[0]);
-        if (c < first) return Bounds{0, 0};
-        const C last = Access::load(col[n - 1]);
-        if (c > last) return Bounds{n, n};
-        if (first == last) return Bounds{0, n}; // c == first == last
-    }
-#if DTREE_SIMD_VECTOR
-    if constexpr (vectorizable<C>) {
-        if (have_avx2()) {
-            DTREE_METRIC_INC(search_simd_probes);
-            if constexpr (sizeof(C) == 8) {
-                return bounds_avx2_64(col, n, to_ordered(c), order_mask<C>());
-            } else {
-                return bounds_avx2_32(col, n, to_ordered(c), order_mask<C>());
-            }
-        }
-    }
-#endif
-    DTREE_METRIC_INC(search_scalar_fallbacks);
-    return bounds_scalar<Access>(col, n, c);
-}
-
-/// Key layouts the pair kernel handles: two contiguous 8-byte integral
-/// elements with nothing else in the object (Tuple<2, u64/i64>).
-template <typename Key, typename C>
-inline constexpr bool pair_vectorizable =
-    std::is_integral_v<C> && sizeof(C) == 8 && sizeof(Key) == 2 * sizeof(C) &&
-    std::is_standard_layout_v<Key>;
-
-/// Scalar early-exit lexicographic pair scan — the TSan-clean fallback for
-/// pair keys. Whole keys are copied through Access::load (per-element
-/// relaxed atomics in the concurrent tree: exactly the two elements the
-/// comparison needs), so the sanitizer sees a well-ordered seqlock reader.
-template <typename Access, typename Key, typename C>
-inline Bounds pair_bounds_scalar(const Key* keys, unsigned n, C c0, C c1) {
-    using FC = dtree::first_column<Key>;
-    Bounds b;
-    for (unsigned i = 0; i < n; ++i) {
-        const Key kv = Access::load(keys[i]);
-        const C a0 = FC::extract(kv);
-        if (a0 < c0) {
-            ++b.lt;
-            ++b.le;
-            continue;
-        }
-        if (a0 > c0) break;
-        const C a1 = FC::extract_second(kv);
-        if (a1 < c1) {
-            ++b.lt;
-            ++b.le;
-            continue;
-        }
-        if (a1 == c1) {
-            ++b.le;
-            continue;
-        }
-        break;
-    }
-    return b;
-}
-
-/// Pair-key bounds entry point (SimdSearch's kernel for Tuple<2>, both node
-/// kinds): exact lexicographic lower/upper bounds over the node's AoS key
-/// array — no side storage, the column view lives in registers.
-///
-/// Guarded mirrors column_bounds' policy: ON for inner nodes — hot,
-/// tie-dominated separator arrays where a whole-node tie resolves with two
-/// key loads — and OFF for cold leaves, where a guard would have to touch
-/// keys[n - 1] (the leaf's LAST cache line) on the critical path while the
-/// early-exit scan below usually never reaches it. The appending pattern
-/// leaf guards would serve is already fast-pathed one level up by the slot
-/// hints (node_lower_hinted's two boundary comparisons).
-template <typename Access, bool Guarded, typename Key, typename C>
-inline Bounds pair_bounds(const Key* keys, unsigned n, C c0, C c1) {
-    if (n == 0) return Bounds{0, 0};
-    if constexpr (Guarded) {
-        using FC = dtree::first_column<Key>;
-        const Key first = Access::load(keys[0]);
-        const C f0 = FC::extract(first);
-        const C f1 = FC::extract_second(first);
-        if (c0 < f0 || (c0 == f0 && c1 < f1)) return Bounds{0, 0};
-        const Key last = Access::load(keys[n - 1]);
-        const C l0 = FC::extract(last);
-        const C l1 = FC::extract_second(last);
-        if (c0 > l0 || (c0 == l0 && c1 > l1)) return Bounds{n, n};
-        if (f0 == l0 && f1 == l1) return Bounds{0, n}; // probe == every key
-    }
-#if DTREE_SIMD_VECTOR
-    if constexpr (pair_vectorizable<Key, C>) {
-        if (have_avx2()) {
-            DTREE_METRIC_INC(search_simd_probes);
-            return pair_bounds_avx2_64(keys, n, to_ordered(c0), to_ordered(c1),
-                                       order_mask<C>());
-        }
-    }
-#endif
-    DTREE_METRIC_INC(search_scalar_fallbacks);
-    return pair_bounds_scalar<Access>(keys, n, c0, c1);
-}
 
 /// Fingerprint membership probe over a v2 leaf's byte array (DESIGN.md §15):
 /// compares all n fingerprint bytes against `b` — one _mm256_cmpeq_epi8 per
@@ -918,193 +447,24 @@ inline int fp_find(const std::uint8_t* fp, unsigned n, std::uint8_t b,
 
 } // namespace simd
 
-/// Vectorized in-node search over dense column views (DESIGN.md §10).
-/// Scalar keys scan their key array directly (it IS the column); Tuple<2>
-/// trees — the paper's key type — run the interleaved pair kernel on BOTH
-/// node kinds, deinterleaving the AoS keys in registers for exact
-/// lexicographic bounds (never touching the 3-way comparator, and storing
-/// no mirror anywhere). Wider tuples scan the inner nodes' SoA first/
-/// second-column caches to narrow descent to a tie range and consult the
-/// comparator only inside it. Requires a key with
-/// an arithmetic first column AND a comparator consistent with it
-/// (comparator.h's comparator_respects_first_column); DefaultSearch checks
-/// both before selecting it, and the btree static_asserts them for explicit
-/// configuration. Seqlock-correct per the race_access.h shim notes: the racy
-/// vector loads only ever run between start_read/validate or under a write
-/// lock, and their results are discarded on validation failure.
-struct SimdSearch {
-    /// This policy reads the node's column caches; trees configured with it
-    /// instantiate nodes that carry (and maintain) them.
-    static constexpr bool uses_column = true;
-
-    /// Can this policy be instantiated for (Key, Comp)? Surfaced so
-    /// DefaultSearch and the btree's static_assert give a clear diagnostic
-    /// instead of a template error novel.
-    template <typename Key, typename Comp>
-    static constexpr bool viable =
-        dtree::first_column<Key>::available &&
-        dtree::comparator_respects_first_column<Comp, Key>;
-
-    /// Narrows [0, n) to the probe's position/tie range, choosing the kernel
-    /// by key shape (and boundary-guarding by node kind):
-    ///   * scalars / Tuple<1>: the key array IS the dense column — one scan;
-    ///   * Tuple<2>: the interleaved AoS kernel on both node kinds — exact
-    ///     lexicographic bounds straight off keys[], zero side storage;
-    ///   * inner nodes of wider tuples: dense SoA first-column cache, then
-    ///     the second-column cache over the surviving tie range;
-    ///   * leaves of wider tuples: no narrowing (the caller's comparator
-    ///     loop scans, linear-equivalent).
-    /// For pair-covering keys (scalars, Tuple<1>, Tuple<2>) the returned
-    /// bounds ARE the final answers.
-    template <typename Access, typename NodeT, typename Key>
-    static simd::Bounds narrow(const NodeT* node, unsigned n, const Key& k) {
-        using FC = typename NodeT::FirstCol;
-        using C = typename NodeT::col_type;
-        if constexpr (NodeT::dense_keys) {
-            // Scalars / Tuple<1>: the key array is (layout-compatible with)
-            // the dense column. Boundary guards on for hot, tie-prone inner
-            // nodes; off for cold leaves (see column_bounds).
-            const C* col = reinterpret_cast<const C*>(node->keys);
-            if (node->inner) {
-                return simd::column_bounds<Access, C, true>(col, n,
-                                                            FC::extract(k));
-            }
-            return simd::column_bounds<Access, C, false>(col, n,
-                                                         FC::extract(k));
-        } else if constexpr (NodeT::pair_keys) {
-            // Tuple<2>: interleaved AoS kernel on both node kinds; lex
-            // boundary guards for hot inner separators only.
-            if (node->inner) {
-                return simd::pair_bounds<Access, true>(
-                    node->keys, n, FC::extract(k), FC::extract_second(k));
-            }
-            return simd::pair_bounds<Access, false>(
-                node->keys, n, FC::extract(k), FC::extract_second(k));
-        } else {
-            if constexpr (NodeT::inner_columns) {
-                if (node->inner) {
-                    const auto* in = node->as_inner();
-                    auto b = simd::column_bounds<Access>(in->column(), n,
-                                                         FC::extract(k));
-                    if constexpr (NodeT::inner_column2) {
-                        if (b.lt < b.le) {
-                            const auto b2 = simd::column_bounds<Access>(
-                                in->column2() + b.lt, b.le - b.lt,
-                                FC::extract_second(k));
-                            b = simd::Bounds{b.lt + b2.lt, b.lt + b2.le};
-                        }
-                    }
-                    return b;
-                }
-            }
-            // Wider tuples at the leaf: no narrowing — the caller's
-            // comparator loop scans (linear-equivalent).
-            return simd::Bounds{0, n};
-        }
-    }
-
-    template <typename Access, typename NodeT, typename Key, typename Comp>
-    static unsigned lower_node(const NodeT* node, unsigned n, const Key& k,
-                               const Comp& comp) {
-        static_assert(NodeT::has_column,
-                      "SimdSearch requires a key type with an arithmetic first "
-                      "column (a scalar, or Tuple<N, arithmetic>); configure "
-                      "LinearSearch or BinarySearch for this key type");
-        using FC = typename NodeT::FirstCol;
-        const auto b = narrow<Access>(node, n, k);
-        if constexpr (FC::pair_covers) {
-            return b.lt;
-        } else {
-            unsigned lo = b.lt;
-            if (lo < b.le) {
-                DTREE_METRIC_INC(search_scalar_fallbacks);
-                while (lo < b.le && comp(Access::load(node->keys[lo]), k) < 0) {
-                    ++lo;
-                }
-            }
-            return lo;
-        }
-    }
-
-    template <typename Access, typename NodeT, typename Key, typename Comp>
-    static unsigned upper_node(const NodeT* node, unsigned n, const Key& k,
-                               const Comp& comp) {
-        static_assert(NodeT::has_column,
-                      "SimdSearch requires a key type with an arithmetic first "
-                      "column (a scalar, or Tuple<N, arithmetic>); configure "
-                      "LinearSearch or BinarySearch for this key type");
-        using FC = typename NodeT::FirstCol;
-        const auto b = narrow<Access>(node, n, k);
-        if constexpr (FC::pair_covers) {
-            return b.le;
-        } else {
-            unsigned i = b.lt;
-            if (i < b.le) {
-                DTREE_METRIC_INC(search_scalar_fallbacks);
-                while (i < b.le && comp(Access::load(node->keys[i]), k) <= 0) {
-                    ++i;
-                }
-            }
-            return i;
-        }
-    }
-};
-
 // ---------------------------------------------------------------------------
-// Node-aware search dispatch
+// Search dispatch
 // ---------------------------------------------------------------------------
 
-/// True iff `Search` can run over (Key, Comp). Policies without a `viable`
-/// member (LinearSearch, BinarySearch, user policies) work for every key.
-template <typename Search, typename Key, typename Comp>
-constexpr bool search_policy_viable() {
-    if constexpr (requires { Search::template viable<Key, Comp>; }) {
-        return Search::template viable<Key, Comp>;
-    } else {
-        return true;
-    }
-}
-
-/// True iff `Search` reads the node column caches, i.e. the tree should pay
-/// for their storage and maintenance. Policies without a `uses_column`
-/// member (user policies predating the caches) are assumed column-free.
-template <typename Search>
-constexpr bool search_wants_column() {
-    if constexpr (requires { Search::uses_column; }) {
-        return Search::uses_column;
-    } else {
-        return false;
-    }
-}
-
-/// Dispatches an in-node lower_bound to the policy: node-aware policies
-/// (SimdSearch — they need the column cache) get the node, classic policies
-/// get the raw key array. All call sites in core/btree.h funnel through
-/// these two, so a policy only has to implement one shape.
+/// In-node lower_bound / upper_bound over a node's key array. All call sites
+/// in core/btree.h funnel through these two.
 template <typename Search, typename Access, typename NodeT, typename Key,
           typename Comp>
 inline unsigned node_lower(const NodeT* node, unsigned n, const Key& k,
                            const Comp& comp) {
-    if constexpr (requires {
-                      Search::template lower_node<Access>(node, n, k, comp);
-                  }) {
-        return Search::template lower_node<Access>(node, n, k, comp);
-    } else {
-        return Search::template lower<Access>(node->keys, n, k, comp);
-    }
+    return Search::template lower<Access>(node->keys, n, k, comp);
 }
 
 template <typename Search, typename Access, typename NodeT, typename Key,
           typename Comp>
 inline unsigned node_upper(const NodeT* node, unsigned n, const Key& k,
                            const Comp& comp) {
-    if constexpr (requires {
-                      Search::template upper_node<Access>(node, n, k, comp);
-                  }) {
-        return Search::template upper_node<Access>(node, n, k, comp);
-    } else {
-        return Search::template upper<Access>(node->keys, n, k, comp);
-    }
+    return Search::template upper<Access>(node->keys, n, k, comp);
 }
 
 /// Sentinel for "no predicted slot" (core/hints.h hands these in).
@@ -1147,73 +507,14 @@ inline unsigned node_upper_hinted(const NodeT* node, unsigned n, const Key& k,
     return node_upper<Search, Access>(node, n, k, comp);
 }
 
-/// Descent prefetch of the *adjacent* child: when the probe's first column
-/// equals the separator at `pos`, keys tied on the first column straddle
-/// children[pos] and children[pos+1] (and a multiset descent or tie-heavy
-/// set workload frequently visits both), so pull the sibling's header in
-/// too. One scalar column compare decides; no-op for keys without a column
-/// cache.
-template <typename Access, typename NodeT, typename Key>
-inline void prefetch_tie_sibling(const NodeT* node, unsigned pos, unsigned n,
-                                 const Key& k) {
-    if constexpr (NodeT::has_column) {
-        using FC = typename NodeT::FirstCol;
-        if (pos >= n) return;
-        bool tie;
-        if constexpr (NodeT::dense_keys) {
-            using C = typename NodeT::col_type;
-            tie = Access::load(
-                      reinterpret_cast<const C*>(node->keys)[pos]) ==
-                  FC::extract(k);
-        } else if constexpr (NodeT::pair_keys) {
-            tie = FC::extract(Access::load(node->keys[pos])) == FC::extract(k);
-        } else {
-            tie = Access::load(node->as_inner()->column()[pos]) ==
-                  FC::extract(k);
-        }
-        if (tie) prefetch_node(node->as_inner()->children[pos + 1].load());
-    }
-}
-
-/// Should DefaultSearch hand (Key, BlockSize) to SimdSearch? Thresholds are
-/// measured, not guessed (bench/ablation_search, best-of-5, 1M random
-/// inserts; EXPERIMENTS.md search-ablation note):
-///   * dense scalar columns (u64 & friends): the vectorized column scan wins
-///     once the node spans >= 4 cache lines of keys — 1.27x over the old
-///     binary default at the default 64-key u64 nodes — while on 2-line
-///     nodes the early-exit linear scan still wins (the out-of-line,
-///     runtime-dispatched AVX2 kernel can't inline into generic-ISA callers,
-///     and that call overhead needs a few cache lines of scanning to
-///     amortise);
-///   * pair keys (Tuple<2>): the interleaved register kernel reads the same
-///     AoS lines the 3-way early-exit scan reads, so it needs >= 2 KiB of
-///     keys per node before the lane parallelism clears the dispatch
-///     overhead; at the default 32-key nodes linear keeps a few percent.
-///     SimdSearch remains available by explicit configuration at any size.
-template <typename Key, unsigned BlockSize>
-constexpr bool default_prefers_simd() {
-    constexpr std::size_t payload = std::size_t{BlockSize} * sizeof(Key);
-    if constexpr (dense_column_key<Key>()) {
-        return payload >= 256;
-    } else {
-        return payload >= 2048;
-    }
-}
-
-/// Default in-node search policy, chosen per (key, comparator, block size):
-///   * SimdSearch where the measured thresholds above say the vector kernel
-///     wins (and the comparator is first-column-consistent, so it is exact);
-///   * otherwise the classic pair, now keyed on the node's actual key
-///     payload rather than the key type's *default* block size (the old
-///     heuristic's bug): the branch-predictable early-exit linear scan up to
-///     ~768 B of keys per node, binary search beyond.
+/// Default in-node search policy, keyed on the node's actual key payload:
+/// the branch-predictable early-exit linear scan up to ~768 B of keys per
+/// node, binary search beyond.
 template <typename Key, typename Compare = ThreeWayComparator<Key>,
           unsigned BlockSize = default_block_size<Key>()>
-using DefaultSearch = std::conditional_t<
-    SimdSearch::viable<Key, Compare> && default_prefers_simd<Key, BlockSize>(),
-    SimdSearch,
+using DefaultSearch =
     std::conditional_t<(std::size_t{BlockSize} * sizeof(Key) <= 768),
-                       LinearSearch, BinarySearch>>;
+                       LinearSearch, BinarySearch>;
 
 // ---------------------------------------------------------------------------
 // Iterator
@@ -1251,12 +552,11 @@ struct IterNoComp {};
 /// physical slot through a lazily built order table. Positions and counts
 /// are unchanged, so the walk itself is identical.
 template <typename Key, unsigned BlockSize, typename Access,
-          bool WithColumn = true, bool WithSnapshots = false,
-          bool WithFingerprints = false, typename Compare = void>
+          bool WithSnapshots = false, bool WithFingerprints = false,
+          typename Compare = void>
 class Iterator {
 public:
-    using NodeT = Node<Key, BlockSize, Access, WithColumn, WithSnapshots,
-                       WithFingerprints>;
+    using NodeT = Node<Key, BlockSize, Access, WithSnapshots, WithFingerprints>;
     using value_type = Key;
     using reference = const Key&;
     using pointer = const Key*;

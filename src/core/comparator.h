@@ -50,22 +50,6 @@ struct ThreeWayComparator<Tuple<Arity, T>> {
     }
 };
 
-/// True iff `Comp` orders keys consistently with ascending order of their
-/// first column (first_column<Key>, core/tuple.h): whenever
-/// extract(a) < extract(b), comp(a, b) < 0, and keys comparing equal have
-/// equal first columns. SimdSearch's column-cache prefilter is only sound
-/// under a comparator with this property, so DefaultSearch consults it and
-/// the btree static_asserts it for explicitly-configured SimdSearch. The
-/// default lexicographic ThreeWayComparator qualifies; custom orderings
-/// (LessToThreeWay, reversed/permuted comparators) must opt in by
-/// specialising this variable template — or keep the scalar policies.
-template <typename Comp, typename Key>
-inline constexpr bool comparator_respects_first_column = false;
-
-template <typename Key>
-inline constexpr bool comparator_respects_first_column<ThreeWayComparator<Key>, Key> =
-    true;
-
 /// Adapts an STL-style less<T> into the 3-way interface, for users who bring
 /// their own ordering.
 template <typename T, typename Less>

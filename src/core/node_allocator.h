@@ -115,18 +115,16 @@ private:
 };
 
 /// Default policy: plain new/delete (thread-safe by the C++ runtime).
-/// WithColumn must match the owning tree's node layout (btree.h derives it
-/// from the search policy via detail::search_wants_column); WithSnapshots /
-/// WithFingerprints likewise select the node variants carrying per-node
-/// snapshot state and the v2 leaf layout (DESIGN.md §15).
+/// WithSnapshots / WithFingerprints must match the owning tree: they select
+/// the node variants carrying per-node snapshot state and the v2 leaf
+/// layout (DESIGN.md §15).
 template <typename Key, unsigned BlockSize, typename Access,
-          bool WithColumn = true, bool WithSnapshots = false,
-          bool WithFingerprints = false>
+          bool WithSnapshots = false, bool WithFingerprints = false>
 struct NewDeleteNodeAlloc {
-    using NodeT = detail::Node<Key, BlockSize, Access, WithColumn,
-                               WithSnapshots, WithFingerprints>;
-    using InnerT = detail::InnerNode<Key, BlockSize, Access, WithColumn,
-                                     WithSnapshots, WithFingerprints>;
+    using NodeT =
+        detail::Node<Key, BlockSize, Access, WithSnapshots, WithFingerprints>;
+    using InnerT = detail::InnerNode<Key, BlockSize, Access, WithSnapshots,
+                                     WithFingerprints>;
 
     NodeT* make_leaf() {
         DTREE_METRIC_INC(alloc_leaf_nodes);
@@ -150,14 +148,13 @@ struct NewDeleteNodeAlloc {
 /// wholesale release. Individual nodes are never returned — exactly the
 /// tree's lifetime model.
 template <typename Key, unsigned BlockSize, typename Access,
-          bool WithColumn = true, bool WithSnapshots = false,
-          bool WithFingerprints = false>
+          bool WithSnapshots = false, bool WithFingerprints = false>
 class ArenaNodeAlloc {
 public:
-    using NodeT = detail::Node<Key, BlockSize, Access, WithColumn,
-                               WithSnapshots, WithFingerprints>;
-    using InnerT = detail::InnerNode<Key, BlockSize, Access, WithColumn,
-                                     WithSnapshots, WithFingerprints>;
+    using NodeT =
+        detail::Node<Key, BlockSize, Access, WithSnapshots, WithFingerprints>;
+    using InnerT = detail::InnerNode<Key, BlockSize, Access, WithSnapshots,
+                                     WithFingerprints>;
 
     ArenaNodeAlloc() = default;
     ArenaNodeAlloc(ArenaNodeAlloc&& o) noexcept : chunks_(std::move(o.chunks_)) {

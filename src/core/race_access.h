@@ -89,62 +89,51 @@ struct SeqAccess {
 };
 
 // ---------------------------------------------------------------------------
-// Racy vector loads (the DATATREE_SIMD in-node search kernel)
+// Racy vector loads (the DATATREE_SIMD fingerprint kernel)
 // ---------------------------------------------------------------------------
 //
-// The SIMD search kernel (core/btree_detail.h, DESIGN.md §10) reads the
-// inner nodes' first/second-column caches (wide tuples) — and, for pair
-// keys, the node's AoS key array itself, both kinds (the interleaved pair
-// kernel) — with *plain* 256-bit vector loads, NOT through the per-element atomic_ref discipline above. That is a deliberate, documented
-// exception to the Boehm-style rules, and it is sound for the same reason
-// the rules exist at all:
+// The fingerprint probe of leaf layout v2 (detail::simd::fp_find,
+// core/btree_detail.h, DESIGN.md §15) compares a leaf's one-byte fingerprint
+// array with *plain* 256-bit vector loads (_mm256_cmpeq_epi8), NOT through
+// the per-element atomic_ref discipline above. That is a deliberate,
+// documented exception to the Boehm-style rules, and it is sound for the
+// same reason the rules exist at all:
 //
 //   1. Scope. Vector loads are issued ONLY between start_read()/validate()
 //      of the node's OptimisticReadWriteLock, or while the caller holds the
 //      node's write lock (where there is no race at all). There is no third
 //      call site.
-//   2. Discard-on-conflict. Everything computed from a racy vector load is a
-//      pair of *counts* into the key array. Counts are only acted upon after
-//      a successful validate()/try_upgrade_to_write() on the very lease under
-//      which the loads ran; if a writer intervened, validation fails and the
-//      counts are thrown away — exactly the seqlock argument the paper makes
-//      for its relaxed scalar reads. Torn lanes can produce out-of-bounds-
-//      *looking* counts only within [0, n] (each lane contributes 0 or 1),
-//      so even a garbage result stays a safe array index before validation.
+//   2. Discard-on-conflict. A fingerprint match is never acted on directly:
+//      it only nominates a slot for full key verification, itself an
+//      Access::load racy read re-checked by the same validate(). A torn
+//      fingerprint byte can therefore cause at most a spurious verify
+//      (counted as fp_false_hits) or a miss that the seqlock retry repairs.
+//      No value computed from the vector load survives a failed validation
+//      — exactly the seqlock argument the paper makes for its relaxed
+//      scalar reads. The array is padded to a whole vector
+//      (fp_padded_size), so the load never leaves the node.
 //   3. Formal UB vs. practice. The C++ abstract machine calls the racing
 //      non-atomic load undefined; on every ISA the kernel compiles for, an
 //      unordered vector load from validly-mapped memory yields *some* value
 //      per lane and has no other effect. We confine the formal UB to this
 //      one shim so sanitizers can reason about the rest of the tree: under
 //      ThreadSanitizer (which instruments exactly the C++-level race) the
-//      vector path is compiled OUT below, and SimdSearch's scalar fallback
-//      reads the column through Access::load's relaxed atomics — the
-//      TSan-clean path that scripts/check.sh's TSan leg exercises.
+//      vector path is compiled OUT below, and fp_find's scalar fallback
+//      reads the fingerprints through Access::load's per-byte relaxed
+//      atomics — the TSan-clean path that scripts/check.sh's TSan leg
+//      exercises.
+//
+// One ordering obligation comes with it: writers publish a slot's
+// fingerprint with a RELEASE store ordered after the per-element key stores
+// (Node::fp_publish), so any reader that observes the byte and then
+// verifies the slot reads fully-written key elements. Readers that race
+// with the pre-publish window simply don't see the slot yet; the
+// append-zone protocol (count published after fingerprint) makes that
+// window invisible to the merged view.
 //
 // DTREE_SIMD_VECTOR is the single gate the kernel tests: it folds the vector
 // path away when the build disables SIMD (-DDATATREE_SIMD=OFF), the target
 // is not x86-64, or a thread sanitizer is active.
-//
-// Leaf layout v2 (WithFingerprints, DESIGN.md §15) adds one more racy vector
-// consumer: fp_find's _mm256_cmpeq_epi8 over a leaf's one-byte fingerprint
-// array. The same 3-point argument covers it, with one strengthening and one
-// extra ordering obligation:
-//
-//   * Point 2 is *stronger* here than for the column kernels: a fingerprint
-//     match is never acted on directly — it only nominates a slot for full
-//     key verification (itself an Access::load racy read, re-checked by the
-//     same validate()), and a torn fingerprint byte can therefore cause at
-//     most a spurious verify (counted as fp_false_hits) or a miss that the
-//     seqlock retry repairs. No value computed from the vector load survives
-//     a failed validation.
-//   * Writers publish a slot's fingerprint with a RELEASE store ordered
-//     after the per-element key stores (Node::fp_publish), so any reader —
-//     including the TSan-visible scalar fallback, which reads fingerprints
-//     through per-byte relaxed atomics — that observes the byte and then
-//     verifies the slot reads fully-written key elements. Readers that race
-//     with the pre-publish window simply don't see the slot yet; the
-//     append-zone protocol (count published after fingerprint) makes that
-//     window invisible to the merged view.
 
 #if !defined(DATATREE_SIMD)
 // Standalone header use (no CMake configure): default to enabled where the
@@ -173,15 +162,6 @@ struct SeqAccess {
 #else
 #define DTREE_SIMD_VECTOR 0
 #endif
-
-namespace simd_shim {
-
-/// Whether this translation unit compiled the racy-vector-load path in.
-/// (Runtime CPU dispatch still applies on top; see detail::simd in
-/// btree_detail.h.)
-inline constexpr bool vector_loads_compiled = (DTREE_SIMD_VECTOR == 1);
-
-} // namespace simd_shim
 
 /// A word-sized field that is racy in concurrent mode and plain otherwise.
 /// Loads/stores are relaxed; ordering comes from the enclosing lock protocol

@@ -120,76 +120,6 @@ constexpr std::uint8_t key_fingerprint(const Tuple<Arity, T>& t) {
     return static_cast<std::uint8_t>((h * fp_detail::kFpMix) >> 56);
 }
 
-// ---------------------------------------------------------------------------
-// First-column extraction (the SoA key-column cache of the cache-conscious
-// descent kernel, DESIGN.md §10)
-// ---------------------------------------------------------------------------
-
-/// Trait describing the *first column* of a key: the scalar that decides the
-/// vast majority of lexicographic comparisons. Nodes mirror it into a dense
-/// structure-of-arrays cache so in-node search scans one contiguous scalar
-/// array instead of strided whole-key tuples (FB+-tree's memory-optimized
-/// layout, arXiv 2503.23397), and SimdSearch vectorizes over it.
-///
-///   available  the key exposes an arithmetic first column; without it the
-///              column cache does not exist and SimdSearch is not viable
-///   identity   the column IS the whole key bit-for-bit (scalar keys): the
-///              node's key array doubles as the column, no extra storage
-///   covers     column order + equality fully determine key order + equality
-///              (scalars, Tuple<1>): the tie-range comparator fallback is
-///              statically dead
-///   second_available  the key also exposes an arithmetic SECOND column
-///              (element 1 of a Tuple<Arity>=2>). Datalog relations are
-///              dominated by low-arity tuples whose first column is massively
-///              duplicated (a 1000x1000 grid has 1000 tuples per first
-///              column, so whole leaves share one value); a second cached
-///              column lets the kernel resolve those tie ranges with another
-///              dense scan instead of strided whole-key comparisons
-///   pair_covers  (column0, column1) order + equality fully determine key
-///              order + equality (Tuple<2> — the paper's key type): the
-///              comparator fallback is statically dead for the pair scan too
-template <typename Key>
-struct first_column {
-    static constexpr bool available = false;
-    static constexpr bool identity = false;
-    static constexpr bool covers = false;
-    static constexpr bool second_available = false;
-    static constexpr bool pair_covers = false;
-    using type = unsigned char; // placeholder; never stored or read
-};
-
-/// Scalar keys: the key is its own first column.
-template <typename Key>
-    requires(std::is_arithmetic_v<Key>)
-struct first_column<Key> {
-    static constexpr bool available = true;
-    static constexpr bool identity = true;
-    static constexpr bool covers = true;
-    static constexpr bool second_available = false;
-    static constexpr bool pair_covers = true;
-    using type = Key;
-    static constexpr type extract(const Key& k) { return k; }
-};
-
-/// Tuples of arithmetic elements: element 0 is the first column. For
-/// Arity == 1 the column still lives in a separate cache (the storage types
-/// differ) but fully covers the key, so ties never consult the comparator.
-template <std::size_t Arity, typename T>
-    requires(std::is_arithmetic_v<T> && Arity >= 1)
-struct first_column<Tuple<Arity, T>> {
-    static constexpr bool available = true;
-    static constexpr bool identity = false;
-    static constexpr bool covers = (Arity == 1);
-    static constexpr bool second_available = (Arity >= 2);
-    static constexpr bool pair_covers = (Arity <= 2);
-    using type = T;
-    static constexpr type extract(const Tuple<Arity, T>& k) { return k[0]; }
-    static constexpr type extract_second(const Tuple<Arity, T>& k) {
-        static_assert(Arity >= 2);
-        return k[1];
-    }
-};
-
 } // namespace dtree
 
 namespace std {

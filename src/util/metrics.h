@@ -55,10 +55,6 @@ enum class Counter : unsigned {
     btree_root_replacements,  ///< tree grew a level (new root published)
     btree_bulk_runs,          ///< insert_sorted_run calls (sorted bulk merges)
     btree_bulk_keys,          ///< keys consumed by bulk leaf fills (incl. dups)
-    // core/btree_detail.h (SimdSearch, DESIGN.md §10)
-    search_simd_probes,       ///< in-node searches answered by the vector kernel
-    search_scalar_fallbacks,  ///< probes that consulted the full-key comparator
-                              ///< (tie range) or ran entirely scalar
     // core/node_allocator.h
     alloc_leaf_nodes,  ///< leaf nodes allocated (any policy)
     alloc_inner_nodes, ///< inner nodes allocated (any policy)
@@ -133,8 +129,6 @@ inline const char* counter_name(Counter c) {
         case Counter::btree_root_replacements: return "btree_root_replacements";
         case Counter::btree_bulk_runs: return "btree_bulk_runs";
         case Counter::btree_bulk_keys: return "btree_bulk_keys";
-        case Counter::search_simd_probes: return "search_simd_probes";
-        case Counter::search_scalar_fallbacks: return "search_scalar_fallbacks";
         case Counter::alloc_leaf_nodes: return "alloc_leaf_nodes";
         case Counter::alloc_inner_nodes: return "alloc_inner_nodes";
         case Counter::arena_chunks: return "arena_chunks";

@@ -1,12 +1,8 @@
-// Search-policy equivalence suite (DESIGN.md §10): SimdSearch must be
-// observationally identical to LinearSearch and BinarySearch — same
-// lower_bound / upper_bound / contains answers, same iteration order — on
-// sets and multisets, across tiny and default block sizes, under key
-// distributions with heavy first-column duplication (the tie-range fallback
-// path). Also pins the SIMD lane-width boundaries (partial final vector,
-// exactly-one-vector, vector+scalar-tail node fills) against the scalar
-// kernel on a standalone node, and checks the SoA first-column cache stays
-// coherent through splits and insert_sorted_run.
+// Search-policy equivalence suite: LinearSearch and BinarySearch must be
+// observationally identical — same lower_bound / upper_bound / contains
+// answers, same iteration order — on sets and multisets, across tiny and
+// default block sizes, under key distributions with heavy first-column
+// duplication and scalar keys straddling the sign bit.
 //
 // The Fp* tests extend the same equivalence contract to leaf layout v2
 // (WithFingerprints, DESIGN.md §15): fingerprint membership + append-zone
@@ -16,12 +12,12 @@
 // collisions (where every probe nominates slots that full-key verification
 // must reject).
 //
-// Compiled with DATATREE_METRICS (per-target) so the suite can assert the
-// vector kernel actually ran where the build/CPU support it, and that the
-// fp_* counters tick exactly when the v2 policy is on.
+// Compiled with DATATREE_METRICS (per-target) so the suite can assert that
+// the fp_* counters tick exactly when the v2 policy is on.
 
 #include "core/btree.h"
 #include "core/tuple.h"
+#include "datalog/ast.h"
 #include "util/metrics.h"
 #include "util/random.h"
 
@@ -31,6 +27,7 @@
 #include <cstdint>
 #include <optional>
 #include <set>
+#include <type_traits>
 #include <vector>
 
 namespace {
@@ -42,7 +39,7 @@ namespace detail = dtree::detail;
 using Point = Tuple<2>;
 
 /// Key mix with heavy first-column duplication: ~16 tuples share each first
-/// column, so SimdSearch's tie-range comparator fallback runs constantly.
+/// column, so most comparisons are decided by the second element.
 std::vector<Point> tie_heavy_points(std::size_t n, unsigned seed) {
     std::vector<Point> pts;
     pts.reserve(n);
@@ -57,8 +54,8 @@ std::vector<Point> tie_heavy_points(std::size_t n, unsigned seed) {
 std::vector<std::uint64_t> scalar_keys(std::size_t n, unsigned seed) {
     std::vector<std::uint64_t> ks;
     ks.reserve(n);
-    // Include values with the top bit set: the AVX2 kernel orders unsigned
-    // columns via a sign-bit flip, which this distribution exercises.
+    // Include values with the top bit set, so an ordering that treated the
+    // keys as signed would misplace half of them.
     for (std::size_t i = 0; i < n; ++i) {
         ks.push_back((i % 2 ? 0x8000000000000000ull : 0ull) | (i * 7919));
     }
@@ -82,32 +79,23 @@ void check_policy_equivalence(const std::vector<Key>& keys,
                              dtree::ConcurrentAccess, Multi>;
     using Bin = dtree::btree<Key, C, BlockSize, detail::BinarySearch,
                              dtree::ConcurrentAccess, Multi>;
-    using Simd = dtree::btree<Key, C, BlockSize, detail::SimdSearch,
-                              dtree::ConcurrentAccess, Multi>;
     Lin lin;
     Bin bin;
-    Simd simd;
     auto hl = lin.create_hints();
     auto hb = bin.create_hints();
-    auto hs = simd.create_hints();
     for (const auto& k : keys) {
         const bool rl = lin.insert(k, hl);
         const bool rb = bin.insert(k, hb);
-        const bool rs = simd.insert(k, hs);
-        ASSERT_EQ(rl, rs);
-        ASSERT_EQ(rb, rs);
+        ASSERT_EQ(rl, rb);
     }
     ASSERT_TRUE(lin.check_invariants().empty()) << lin.check_invariants();
-    ASSERT_TRUE(simd.check_invariants().empty()) << simd.check_invariants();
-    ASSERT_EQ(lin.size(), simd.size());
-    ASSERT_EQ(bin.size(), simd.size());
+    ASSERT_TRUE(bin.check_invariants().empty()) << bin.check_invariants();
+    ASSERT_EQ(lin.size(), bin.size());
 
     // Iteration order must be byte-identical across policies.
     std::vector<Key> seq_lin(lin.begin(), lin.end());
     std::vector<Key> seq_bin(bin.begin(), bin.end());
-    std::vector<Key> seq_simd(simd.begin(), simd.end());
-    ASSERT_EQ(seq_lin, seq_simd);
-    ASSERT_EQ(seq_bin, seq_simd);
+    ASSERT_EQ(seq_lin, seq_bin);
 
     C comp;
     auto value_at = [&](const auto& tree, auto it) {
@@ -115,29 +103,24 @@ void check_policy_equivalence(const std::vector<Key>& keys,
     };
     for (const auto& p : probes) {
         SCOPED_TRACE(::testing::Message() << "probe " << p);
-        ASSERT_EQ(lin.contains(p, hl), simd.contains(p, hs));
-        ASSERT_EQ(bin.contains(p, hb), simd.contains(p, hs));
+        ASSERT_EQ(lin.contains(p, hl), bin.contains(p, hb));
         ASSERT_EQ(value_at(lin, lin.lower_bound(p, hl)),
-                  value_at(simd, simd.lower_bound(p, hs)));
-        ASSERT_EQ(value_at(bin, bin.lower_bound(p, hb)),
-                  value_at(simd, simd.lower_bound(p, hs)));
+                  value_at(bin, bin.lower_bound(p, hb)));
         ASSERT_EQ(value_at(lin, lin.upper_bound(p, hl)),
-                  value_at(simd, simd.upper_bound(p, hs)));
-        ASSERT_EQ(value_at(bin, bin.upper_bound(p, hb)),
-                  value_at(simd, simd.upper_bound(p, hs)));
+                  value_at(bin, bin.upper_bound(p, hb)));
         // Duplicate-run boundaries: a multiset lower_bound must land on the
         // FIRST duplicate, so the distance to upper_bound equals the
         // multiplicity under every policy.
         if constexpr (Multi) {
             const auto dl = std::distance(lin.lower_bound(p, hl),
                                           lin.upper_bound(p, hl));
-            const auto ds = std::distance(simd.lower_bound(p, hs),
-                                          simd.upper_bound(p, hs));
-            ASSERT_EQ(dl, ds);
+            const auto db = std::distance(bin.lower_bound(p, hb),
+                                          bin.upper_bound(p, hb));
+            ASSERT_EQ(dl, db);
             const auto expect = std::count_if(
-                seq_simd.begin(), seq_simd.end(),
+                seq_lin.begin(), seq_lin.end(),
                 [&](const Key& k) { return comp.equal(k, p); });
-            ASSERT_EQ(ds, expect);
+            ASSERT_EQ(dl, expect);
         }
     }
 }
@@ -150,12 +133,12 @@ std::vector<Key> probe_mix(const std::vector<Key>& keys) {
         probes.push_back(keys[i]);
         Key below = keys[i];
         Key above = keys[i];
-        if constexpr (std::is_same_v<Key, Point>) {
-            below[1] = below[1] > 0 ? below[1] - 1 : 0;
-            above[1] = above[1] + 1;
-        } else {
+        if constexpr (std::is_arithmetic_v<Key>) {
             below = below > 0 ? below - 1 : 0;
             above = above + 1;
+        } else {
+            below[1] = below[1] > 0 ? below[1] - 1 : 0;
+            above[1] = above[1] + 1;
         }
         probes.push_back(below);
         probes.push_back(above);
@@ -209,107 +192,161 @@ TEST(SearchEquivalence, ScalarMultiset) {
 }
 
 // ---------------------------------------------------------------------------
-// Lane-width boundaries on a standalone node
+// Node-size boundaries on a standalone node
 // ---------------------------------------------------------------------------
 
-/// Fills a single node with n sorted keys and compares SimdSearch against
-/// LinearSearch for every interesting probe. n sweeps across the AVX2 lane
-/// boundaries (4 u64 lanes per vector): below one vector, exactly one/two
-/// vectors, and one-past (vector + scalar tail).
-template <typename Key, unsigned BlockSize>
+/// Fills a single node with the first n of sorted_keys and checks both
+/// policies, plain and hinted (every predicted slot from 0 to n + 1 plus the
+/// no-hint sentinel), against std::lower_bound / std::upper_bound for every
+/// key of sorted_keys. n sweeps across the halving points of the binary
+/// search (powers of two and one either side) so off-by-one midpoints show.
+template <typename Search, typename Key, unsigned BlockSize>
 void check_node_boundaries(unsigned n, const std::vector<Key>& sorted_keys) {
     ASSERT_LE(n, BlockSize);
     ASSERT_LE(n, sorted_keys.size());
-    detail::Node<Key, BlockSize, dtree::SeqAccess> node(/*is_inner=*/false);
-    for (unsigned i = 0; i < n; ++i) {
-        node.template key_store<dtree::SeqAccess>(i, sorted_keys[i]);
-    }
+    using A = dtree::SeqAccess;
+    detail::Node<Key, BlockSize, A> node(/*is_inner=*/false);
+    for (unsigned i = 0; i < n; ++i) node.template key_store<A>(i, sorted_keys[i]);
     node.num_elements.store(n);
-    ASSERT_TRUE(node.column_in_sync());
 
     ThreeWayComparator<Key> comp;
-    std::vector<Key> probes(sorted_keys.begin(), sorted_keys.begin() + n);
-    probes.insert(probes.end(), sorted_keys.begin() + n, sorted_keys.end());
-    for (const auto& p : probes) {
-        const unsigned lo_ref = detail::LinearSearch::lower<dtree::SeqAccess>(
-            node.keys, n, p, comp);
-        const unsigned hi_ref = detail::LinearSearch::upper<dtree::SeqAccess>(
-            node.keys, n, p, comp);
-        const unsigned lo =
-            detail::SimdSearch::lower_node<dtree::SeqAccess>(&node, n, p, comp);
-        const unsigned hi =
-            detail::SimdSearch::upper_node<dtree::SeqAccess>(&node, n, p, comp);
-        ASSERT_EQ(lo, lo_ref) << "n=" << n << " probe " << p;
-        ASSERT_EQ(hi, hi_ref) << "n=" << n << " probe " << p;
+    const auto less = [&](const Key& a, const Key& b) { return comp(a, b) < 0; };
+    for (const auto& p : sorted_keys) {
+        SCOPED_TRACE(::testing::Message() << "n=" << n << " probe " << p);
+        const unsigned lo_ref = static_cast<unsigned>(
+            std::lower_bound(node.keys, node.keys + n, p, less) - node.keys);
+        const unsigned hi_ref = static_cast<unsigned>(
+            std::upper_bound(node.keys, node.keys + n, p, less) - node.keys);
+        ASSERT_EQ((detail::node_lower<Search, A>(&node, n, p, comp)), lo_ref);
+        ASSERT_EQ((detail::node_upper<Search, A>(&node, n, p, comp)), hi_ref);
+        for (std::uint32_t g = 0; g <= n + 1; ++g) {
+            ASSERT_EQ((detail::node_lower_hinted<Search, A>(&node, n, p, comp, g)),
+                      lo_ref)
+                << "guess " << g;
+            ASSERT_EQ((detail::node_upper_hinted<Search, A>(&node, n, p, comp, g)),
+                      hi_ref)
+                << "guess " << g;
+        }
+        ASSERT_EQ((detail::node_lower_hinted<Search, A>(&node, n, p, comp,
+                                                        detail::kNoSlotHint)),
+                  lo_ref);
+        ASSERT_EQ((detail::node_upper_hinted<Search, A>(&node, n, p, comp,
+                                                        detail::kNoSlotHint)),
+                  hi_ref);
     }
 }
 
-TEST(SimdLaneBoundaries, ScalarU64) {
+constexpr unsigned kBoundarySizes[] = {1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 24};
+
+TEST(SearchEquivalence, NodeBoundariesScalarU64) {
     std::vector<std::uint64_t> keys;
-    // Duplicate-free ascending with sign-bit crossers.
-    for (unsigned i = 0; i < 24; ++i) {
+    // Duplicate-free ascending with sign-bit crossers; every key is a probe,
+    // the ones past n probe beyond the node's last slot.
+    for (unsigned i = 0; i < 32; ++i) {
         keys.push_back(i * 3 + (i >= 12 ? 0x8000000000000000ull : 0));
     }
-    for (unsigned n : {1u, 3u, 4u, 5u, 7u, 8u, 9u, 15u, 16u, 17u}) {
-        check_node_boundaries<std::uint64_t, 24>(n, keys);
+    for (unsigned n : kBoundarySizes) {
+        check_node_boundaries<detail::LinearSearch, std::uint64_t, 24>(n, keys);
+        check_node_boundaries<detail::BinarySearch, std::uint64_t, 24>(n, keys);
     }
 }
 
-TEST(SimdLaneBoundaries, TupleWithTies) {
+TEST(SearchEquivalence, NodeBoundariesTupleWithTies) {
     std::vector<Point> keys;
-    // First columns repeat in pairs: every probe lands in a tie range.
-    for (unsigned i = 0; i < 24; ++i) keys.push_back(Point{i / 2, i % 2});
-    for (unsigned n : {1u, 3u, 4u, 5u, 7u, 8u, 9u, 15u, 16u, 17u}) {
-        check_node_boundaries<Point, 24>(n, keys);
+    // Multiset-shaped node: every tuple appears twice and first columns
+    // repeat, so every probe lands in a tie range and a duplicate run.
+    for (unsigned i = 0; i < 32; ++i) keys.push_back(Point{i / 4, i / 2 % 2});
+    for (unsigned n : kBoundarySizes) {
+        check_node_boundaries<detail::LinearSearch, Point, 24>(n, keys);
+        check_node_boundaries<detail::BinarySearch, Point, 24>(n, keys);
     }
 }
 
 // ---------------------------------------------------------------------------
-// Column-cache coherence through structural churn
+// Bulk paths under both policies
 // ---------------------------------------------------------------------------
 
-TEST(ColumnCache, CoherentAfterPointInsertSplits) {
-    // BlockSize 3 maximises split frequency; check_invariants verifies
-    // col_[i] == keys[i][0] on every node.
-    dtree::btree_set<Point, ThreeWayComparator<Point>, 3, detail::SimdSearch> t;
-    auto h = t.create_hints();
-    for (const auto& p : tie_heavy_points(3000, 6)) t.insert(p, h);
-    EXPECT_TRUE(t.check_invariants().empty()) << t.check_invariants();
-}
-
-TEST(ColumnCache, CoherentAfterSortedRunAndFromSorted) {
-    auto pts = tie_heavy_points(5000, 7);
+/// from_sorted and insert_sorted_run under each policy: the packed tree and
+/// the half-seeded, bulk-merged tree must both pass check_invariants, hold
+/// exactly the sorted input, and answer every probe identically across
+/// policies.
+template <unsigned BlockSize>
+void check_bulk_equivalence(std::uint64_t seed) {
+    auto pts = tie_heavy_points(5000, seed);
     std::sort(pts.begin(), pts.end());
     pts.erase(std::unique(pts.begin(), pts.end()), pts.end());
+    const auto probes = probe_mix(pts);
 
-    using Tree =
-        dtree::btree_set<Point, ThreeWayComparator<Point>, 4, detail::SimdSearch>;
-    auto packed = Tree::from_sorted(pts.begin(), pts.end());
-    EXPECT_TRUE(packed.check_invariants().empty()) << packed.check_invariants();
-    EXPECT_EQ(packed.size(), pts.size());
+    using C = ThreeWayComparator<Point>;
+    using Lin = dtree::btree_set<Point, C, BlockSize, detail::LinearSearch>;
+    using Bin = dtree::btree_set<Point, C, BlockSize, detail::BinarySearch>;
 
-    Tree merged;
-    auto h = merged.create_hints();
+    auto packed_lin = Lin::from_sorted(pts.begin(), pts.end());
+    auto packed_bin = Bin::from_sorted(pts.begin(), pts.end());
+    ASSERT_TRUE(packed_bin.check_invariants().empty())
+        << packed_bin.check_invariants();
+    ASSERT_EQ(packed_bin.size(), pts.size());
+    ASSERT_TRUE(std::equal(packed_bin.begin(), packed_bin.end(), pts.begin(),
+                           pts.end()));
+
     // Seed with every other key, then bulk-merge the full run on top so
     // leaf_fill_sorted exercises both fresh fills and in-place merges.
-    for (std::size_t i = 0; i < pts.size(); i += 2) merged.insert(pts[i], h);
-    const std::size_t fresh = merged.insert_sorted_run(pts.begin(), pts.end(), h);
-    EXPECT_EQ(fresh, pts.size() - (pts.size() + 1) / 2);
-    EXPECT_TRUE(merged.check_invariants().empty()) << merged.check_invariants();
-    EXPECT_TRUE(std::equal(merged.begin(), merged.end(), pts.begin(), pts.end()));
+    Lin merged_lin;
+    Bin merged_bin;
+    auto hl = merged_lin.create_hints();
+    auto hb = merged_bin.create_hints();
+    for (std::size_t i = 0; i < pts.size(); i += 2) {
+        merged_lin.insert(pts[i], hl);
+        merged_bin.insert(pts[i], hb);
+    }
+    const std::size_t fresh_lin =
+        merged_lin.insert_sorted_run(pts.begin(), pts.end(), hl);
+    const std::size_t fresh_bin =
+        merged_bin.insert_sorted_run(pts.begin(), pts.end(), hb);
+    EXPECT_EQ(fresh_bin, pts.size() - (pts.size() + 1) / 2);
+    EXPECT_EQ(fresh_lin, fresh_bin);
+    ASSERT_TRUE(merged_bin.check_invariants().empty())
+        << merged_bin.check_invariants();
+    ASSERT_TRUE(std::equal(merged_bin.begin(), merged_bin.end(), pts.begin(),
+                           pts.end()));
+
+    auto hpl = packed_lin.create_hints();
+    auto hpb = packed_bin.create_hints();
+    for (const auto& p : probes) {
+        SCOPED_TRACE(::testing::Message() << "probe " << p);
+        const bool want = std::binary_search(pts.begin(), pts.end(), p);
+        ASSERT_EQ(packed_lin.contains(p, hpl), want);
+        ASSERT_EQ(packed_bin.contains(p, hpb), want);
+        ASSERT_EQ(merged_lin.contains(p, hl), want);
+        ASSERT_EQ(merged_bin.contains(p, hb), want);
+    }
+}
+
+TEST(SearchEquivalence, SortedRunAndFromSortedTinyBlock) {
+    check_bulk_equivalence<4>(7);
+}
+
+/// 128 Tuple<2> keys per node is where DefaultSearch switches to binary.
+TEST(SearchEquivalence, SortedRunAndFromSortedWideBlock) {
+    static_assert(std::is_same_v<detail::DefaultSearch<Point,
+                                                       ThreeWayComparator<Point>,
+                                                       128>,
+                                 detail::BinarySearch>);
+    check_bulk_equivalence<128>(8);
 }
 
 // ---------------------------------------------------------------------------
 // Leaf layout v2 equivalence (WithFingerprints, DESIGN.md §15)
 // ---------------------------------------------------------------------------
 
-/// The v2 tree under test: fingerprint leaves on top of the SimdSearch
-/// kernel (the configuration `--fingerprints` selects everywhere).
+/// The v2 tree under test: fingerprint leaves on top of the default
+/// in-node search (the configuration `--fingerprints` selects everywhere).
 template <typename Key, unsigned BlockSize, bool Multi>
-using FpTree = dtree::btree<Key, ThreeWayComparator<Key>, BlockSize,
-                            detail::SimdSearch, dtree::ConcurrentAccess, Multi,
-                            /*WithSnapshots=*/false, /*WithCombining=*/false,
-                            /*WithFingerprints=*/true>;
+using FpTree = dtree::btree<
+    Key, ThreeWayComparator<Key>, BlockSize,
+    detail::DefaultSearch<Key, ThreeWayComparator<Key>, BlockSize>,
+    dtree::ConcurrentAccess, Multi, /*WithSnapshots=*/false,
+    /*WithCombining=*/false, /*WithFingerprints=*/true>;
 
 /// Applies the same inserts to a v1 reference tree and a v2 fingerprint tree
 /// and demands identical observable behaviour: insert verdicts, sizes,
@@ -540,42 +577,31 @@ TEST(SearchEquivalence, FpCollisionAdversarialTuple) {
 }
 
 // ---------------------------------------------------------------------------
-// Metrics: the vector kernel actually runs where supported
+// Default policy selection
 // ---------------------------------------------------------------------------
 
-TEST(SearchMetrics, SimdProbesCountedWhereSupported) {
-    namespace metrics = dtree::metrics;
-    metrics::reset();
-    // The default heuristic is measured per (key, block size): dense scalar
-    // columns take the vector kernel at the default node size, pair keys
-    // (Tuple<2>) only at large nodes — at their default 32-key nodes the
-    // early-exit linear scan still wins (see DefaultSearch's notes).
+TEST(SearchMetrics, DefaultSearchSelection) {
+    using Storage = dtree::datalog::StorageTuple;
+    // DefaultSearch keys on the node's key payload: the early-exit linear
+    // scan up to 768 B of keys per node, binary search beyond.
     static_assert(
-        std::is_same_v<detail::DefaultSearch<std::uint64_t>,
-                       detail::SimdSearch>,
-        "DefaultSearch must select SimdSearch for scalar keys at the default "
-        "block size");
+        std::is_same_v<detail::DefaultSearch<std::uint64_t,
+                                             ThreeWayComparator<std::uint64_t>,
+                                             64>,
+                       detail::LinearSearch>,
+        "u64 at 64 keys per node (512 B) must use LinearSearch");
     static_assert(
         std::is_same_v<detail::DefaultSearch<Point>, detail::LinearSearch>,
-        "DefaultSearch must keep LinearSearch for Tuple<2> at the default "
-        "block size");
+        "Tuple<2> at its default block size must use LinearSearch");
+    static_assert(
+        std::is_same_v<detail::DefaultSearch<Storage>, detail::LinearSearch>,
+        "datalog::StorageTuple at its default block size must use "
+        "LinearSearch");
     static_assert(
         std::is_same_v<
             detail::DefaultSearch<Point, ThreeWayComparator<Point>, 128>,
-            detail::SimdSearch>,
-        "DefaultSearch must select SimdSearch for Tuple<2> at 2 KiB nodes");
-    dtree::btree_set<Point, ThreeWayComparator<Point>, 32, detail::SimdSearch>
-        t;
-    auto h = t.create_hints();
-    for (const auto& p : tie_heavy_points(2000, 8)) t.insert(p, h);
-    for (const auto& p : tie_heavy_points(2000, 8)) t.contains(p, h);
-    const auto snap = metrics::snapshot();
-    if (dtree::detail::simd::vector_active<Point::value_type>()) {
-        EXPECT_GT(snap[metrics::Counter::search_simd_probes], 0u);
-    } else {
-        EXPECT_EQ(snap[metrics::Counter::search_simd_probes], 0u);
-        EXPECT_GT(snap[metrics::Counter::search_scalar_fallbacks], 0u);
-    }
+            detail::BinarySearch>,
+        "Tuple<2> at 128 keys per node (2 KiB) must use BinarySearch");
 }
 
 /// The fp_* counters must tick exactly when the v2 policy is compiled in:

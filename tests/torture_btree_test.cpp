@@ -283,51 +283,48 @@ TEST_F(TortureTest, PoolBulkMergeInjectedBlock5) {
     run_bulk_pool_torture_on<Tree<5>>(602, true);
 }
 
-// -- SIMD-search torture ------------------------------------------------------
+// -- binary-search torture ----------------------------------------------------
 // The same clean + fault-injected oracle runs with the tree pinned to
-// SimdSearch (core/btree_detail.h): every descent's in-node search runs the
-// column-scan kernel — racy vector loads inside start_read/validate windows
-// where the build compiles them in, the branch-free Access::load scalar scan
-// under TSan — while validate_fail injection forces the discard-on-conflict
-// path the kernel's safety argument rests on (race_access.h). u64 keys take
-// the identity-column layout; a separate tuple-keyed oracle below covers the
-// separate SoA column and the tie-range comparator fallback.
+// BinarySearch. The default u64 trees above resolve to LinearSearch, so this
+// is the concurrent coverage of the binary in-node search: its midpoint
+// loads run inside start_read/validate windows on keys a writer may be
+// shifting, and validate_fail injection forces the discard-on-conflict path
+// that makes a torn midpoint harmless.
 
 template <unsigned B>
-using SimdTree = dtree::btree_set<std::uint64_t,
-                                  dtree::ThreeWayComparator<std::uint64_t>, B,
-                                  dtree::detail::SimdSearch>;
+using BinaryTree = dtree::btree_set<std::uint64_t,
+                                    dtree::ThreeWayComparator<std::uint64_t>, B,
+                                    dtree::detail::BinarySearch>;
 
 template <unsigned B>
-void run_simd_torture(std::uint64_t seed, bool inject) {
+void run_binary_torture(std::uint64_t seed, bool inject) {
     if (inject) TortureTest::arm_failpoints(seed);
-    SimdTree<B> tree;
+    BinaryTree<B> tree;
     const auto res = torture_run(tree, TortureTest::options(seed));
     ASSERT_TRUE(res.ok) << res.failure;
     EXPECT_GT(res.new_keys, 0u);
     if (inject) {
         EXPECT_GT(fail::fires(fail::Site::validate_fail), 0u)
-            << "no lease validation was ever failed under the SIMD kernel";
+            << "no lease validation was ever failed under binary search";
         EXPECT_GT(fail::fires(fail::Site::leaf_retry), 0u);
     }
 }
 
-TEST_F(TortureTest, SimdCleanBlock3) { run_simd_torture<3>(701, false); }
-TEST_F(TortureTest, SimdCleanBlock5) { run_simd_torture<5>(702, false); }
-TEST_F(TortureTest, SimdInjectedBlock3) { run_simd_torture<3>(801, true); }
-TEST_F(TortureTest, SimdInjectedBlock4) { run_simd_torture<4>(802, true); }
-TEST_F(TortureTest, SimdInjectedBlock5) { run_simd_torture<5>(803, true); }
+TEST_F(TortureTest, BinaryCleanBlock3) { run_binary_torture<3>(701, false); }
+TEST_F(TortureTest, BinaryCleanBlock5) { run_binary_torture<5>(702, false); }
+TEST_F(TortureTest, BinaryInjectedBlock3) { run_binary_torture<3>(801, true); }
+TEST_F(TortureTest, BinaryInjectedBlock4) { run_binary_torture<4>(802, true); }
+TEST_F(TortureTest, BinaryInjectedBlock5) { run_binary_torture<5>(803, true); }
 
-// Tuple keys under SimdSearch: the column is a genuinely separate SoA cache
-// and first-column ties force the comparator fallback inside the optimistic
-// window. Threads insert overlapping tie-heavy ranges (16 tuples per first
-// column) into one shared tree under full injection; the result must match
-// the sequential oracle exactly and keep the column cache coherent.
-TEST_F(TortureTest, SimdInjectedTupleTieRanges) {
+// -- tuple-key torture -------------------------------------------------------
+// Tuple<2> keys on the default tree: first-column ties put the deciding
+// comparison on the second element inside the optimistic window. Threads
+// insert overlapping tie-heavy ranges (16 tuples per first column) into one
+// shared tree under full injection; the result must match the sequential
+// oracle exactly.
+TEST_F(TortureTest, InjectedTupleTieRanges) {
     using Key = dtree::Tuple<2>;
-    using TupleTree =
-        dtree::btree_set<Key, dtree::ThreeWayComparator<Key>, 4,
-                         dtree::detail::SimdSearch>;
+    using TupleTree = dtree::btree_set<Key, dtree::ThreeWayComparator<Key>, 4>;
     TortureTest::arm_failpoints(901);
 
     constexpr unsigned kThreads = 4;
@@ -357,7 +354,7 @@ TEST_F(TortureTest, SimdInjectedTupleTieRanges) {
     std::vector<Key> got(tree.begin(), tree.end());
     std::vector<Key> want(oracle.begin(), oracle.end());
     ASSERT_EQ(got, want)
-        << "concurrent tuple inserts under SimdSearch diverged from the oracle";
+        << "concurrent tuple inserts diverged from the oracle";
 }
 
 // Multiple seeds at the smallest node size: distinct schedules + distinct
@@ -511,12 +508,11 @@ TEST_F(TortureTest, FpPoolBulkMergeCleanBlock11) {
 
 // Tuple keys: the FNV-combined fingerprint byte plus first-column tie ranges,
 // racing threads over overlapping windows into one shared tree under full
-// injection (the v2 analogue of SimdInjectedTupleTieRanges).
+// injection (the v2 analogue of InjectedTupleTieRanges).
 TEST_F(TortureTest, FpInjectedTupleTieRanges) {
     using Key = dtree::Tuple<2>;
     using TupleFpTree =
-        dtree::fp_btree_set<Key, dtree::ThreeWayComparator<Key>, 4,
-                            dtree::detail::SimdSearch>;
+        dtree::fp_btree_set<Key, dtree::ThreeWayComparator<Key>, 4>;
     TortureTest::arm_failpoints(1801);
 
     constexpr unsigned kThreads = 4;
