@@ -458,45 +458,24 @@ private:
 public:
 
     // -- queries (phase-concurrent: no active writers allowed) --------------
+    //
+    // Every query reads keys through SeqAccess — plain loads, no lease —
+    // on every instantiation: the read phase has no writer to race (file
+    // header contract; core/race_access.h).
 
     bool contains(const Key& k) const {
         operation_hints h;
         return contains(k, h);
     }
 
-    /// First-class membership test: no iterator construction, answered by a
-    /// leaf-local probe (the fingerprint array under layout v2) under a
-    /// validated lease. Unlike find() — whose result is an iterator and is
-    /// therefore only meaningful phase-concurrently — contains() validates
-    /// and restarts, so it is additionally safe concurrently with writers
-    /// (the PR-9 elision probe and the evaluator's head-FULL filter both
-    /// want exactly that). Equivalent to find(k, hints) != end(); a
-    /// regression test pins the equivalence.
+    /// First-class membership test: the same leaf-local probe as find() (the
+    /// sorted search on v1 leaves, the fingerprint array on v2 leaves)
+    /// without building an iterator. Phase-concurrent like every query:
+    /// readers that must race writers use Snapshot::contains or, inside
+    /// insert, the validated Alg. 1 containment check. Equivalent to
+    /// find(k, hints) != end(); a regression test pins the equivalence.
     bool contains(const Key& k, operation_hints& hints) const {
-        if (root_.load_acquire() == nullptr) {
-            hints.stats.miss(HintKind::Contains);
-            return false;
-        }
-        // Hint fast path: membership decided inside the cached leaf. The
-        // outcome is tallied once per operation, as in find().
-        if (NodeT* leaf = hints.get(HintKind::Contains)) {
-            const Lease lease = leaf->lock.start_read();
-            if (leaf_covers(leaf, k) && leaf->lock.validate(lease)) {
-                hints.stats.hit(HintKind::Contains);
-                if (const auto r = leaf_membership(leaf, lease, k, hints)) {
-                    return *r;
-                }
-                // probe raced with a writer: resolve by descent
-            } else {
-                hints.stats.miss(HintKind::Contains);
-            }
-        } else {
-            hints.stats.miss(HintKind::Contains);
-        }
-        for (;;) {
-            if (const auto r = contains_descent(k, hints)) return *r;
-            DTREE_METRIC_INC(btree_restarts);
-        }
+        return probe(k, hints).node != nullptr;
     }
 
     const_iterator find(const Key& k) const {
@@ -505,68 +484,18 @@ public:
     }
 
     const_iterator find(const Key& k, operation_hints& hints) const {
-        const NodeT* cur = root_.load();
-        // Table 2 definition: every hinted operation is a hit or a miss, so a
-        // cold (empty) hint slot — and an empty tree — count as misses too.
-        if (!cur) {
-            hints.stats.miss(HintKind::Contains);
-            return end();
-        }
-        if (NodeT* leaf = hints.get(HintKind::Contains)) {
-            if (leaf_covers(leaf, k)) {
-                hints.stats.hit(HintKind::Contains);
-                const unsigned n = leaf->num_elements.load();
-                if constexpr (WithFingerprints) {
-                    // v2 leaf: fingerprint probe decides membership with
-                    // (usually) zero key comparisons; the iterator position
-                    // is the key's merged-view rank.
-                    if (leaf_fp_find(leaf, n, k) >= 0) {
-                        return make_iter(leaf, leaf_rank_lower(leaf, n, k));
-                    }
-                    return end();
-                } else {
-                    const unsigned pos =
-                        detail::node_lower_hinted<Search, Access>(
-                            leaf, n, k, comp_,
-                            hints.slots.get(HintKind::Contains));
-                    hints.slots.set(HintKind::Contains, pos);
-                    if (pos < n &&
-                        comp_.equal(Access::load(leaf->keys[pos]), k)) {
-                        return make_iter(leaf, pos);
-                    }
-                    return end(); // the covering leaf would have to contain it
-                }
+        const ProbeHit hit = probe(k, hints);
+        if (!hit.node) return end();
+        if constexpr (WithFingerprints) {
+            // v2 leaf: the iterator position is the key's merged-view rank.
+            if (!hit.node->inner) {
+                return make_iter(hit.node,
+                                 leaf_rank_lower(hit.node,
+                                                 hit.node->num_elements.load(),
+                                                 k));
             }
         }
-        hints.stats.miss(HintKind::Contains);
-        for (;;) {
-            const unsigned n = cur->num_elements.load();
-            if constexpr (WithFingerprints) {
-                if (!cur->inner) {
-                    hints.set(HintKind::Contains, const_cast<NodeT*>(cur));
-                    if (leaf_fp_find(cur, n, k) >= 0) {
-                        return make_iter(cur, leaf_rank_lower(cur, n, k));
-                    }
-                    return end();
-                }
-            }
-            const unsigned pos = detail::node_lower<Search, Access>(cur, n, k, comp_);
-            if (pos < n && comp_.equal(Access::load(cur->keys[pos]), k)) {
-                if (!cur->inner) {
-                    hints.set(HintKind::Contains, const_cast<NodeT*>(cur));
-                    hints.slots.set(HintKind::Contains, pos);
-                }
-                return make_iter(cur, pos);
-            }
-            if (!cur->inner) {
-                hints.set(HintKind::Contains, const_cast<NodeT*>(cur));
-                hints.slots.set(HintKind::Contains, pos);
-                return end();
-            }
-            const NodeT* next = cur->as_inner()->children[pos].load();
-            detail::prefetch_node(next);
-            cur = next;
-        }
+        return make_iter(hit.node, hit.slot);
     }
 
     /// First element >= k, or end().
@@ -595,7 +524,7 @@ public:
                 if constexpr (WithFingerprints) {
                     pos = leaf_rank_lower(leaf, n, k);
                 } else {
-                    pos = detail::node_lower_hinted<Search, Access>(
+                    pos = detail::node_lower_hinted<Search, SeqAccess>(
                         leaf, n, k, comp_, hints.slots.get(HintKind::Lower));
                     hints.slots.set(HintKind::Lower, pos);
                 }
@@ -609,10 +538,10 @@ public:
             unsigned pos;
             if constexpr (WithFingerprints) {
                 pos = cur->inner
-                          ? detail::node_lower<Search, Access>(cur, n, k, comp_)
+                          ? detail::node_lower<Search, SeqAccess>(cur, n, k, comp_)
                           : leaf_rank_lower(cur, n, k);
             } else {
-                pos = detail::node_lower<Search, Access>(cur, n, k, comp_);
+                pos = detail::node_lower<Search, SeqAccess>(cur, n, k, comp_);
             }
             if (!cur->inner) {
                 if (pos < n) {
@@ -627,7 +556,7 @@ public:
             if constexpr (!AllowDuplicates) {
                 // An equal separator IS the lower bound; for multisets the
                 // first duplicate may live in the left subtree, so descend.
-                if (pos < n && comp_.equal(Access::load(cur->keys[pos]), k)) {
+                if (pos < n && comp_.equal(cur->keys[pos], k)) {
                     return make_iter(cur, pos);
                 }
             }
@@ -660,7 +589,7 @@ public:
                 if constexpr (WithFingerprints) {
                     pos = leaf_rank_upper(leaf, n, k);
                 } else {
-                    pos = detail::node_upper_hinted<Search, Access>(
+                    pos = detail::node_upper_hinted<Search, SeqAccess>(
                         leaf, n, k, comp_, hints.slots.get(HintKind::Upper));
                     hints.slots.set(HintKind::Upper, pos);
                 }
@@ -674,10 +603,10 @@ public:
             unsigned pos;
             if constexpr (WithFingerprints) {
                 pos = cur->inner
-                          ? detail::node_upper<Search, Access>(cur, n, k, comp_)
+                          ? detail::node_upper<Search, SeqAccess>(cur, n, k, comp_)
                           : leaf_rank_upper(cur, n, k);
             } else {
-                pos = detail::node_upper<Search, Access>(cur, n, k, comp_);
+                pos = detail::node_upper<Search, SeqAccess>(cur, n, k, comp_);
             }
             if (!cur->inner) {
                 if (pos < n) {
@@ -1401,7 +1330,7 @@ private:
             const unsigned pos = search_pos_racy(cur, n, k);
             if constexpr (!AllowDuplicates) {
                 // Early containment check (line 22).
-                if (pos < n && comp_.equal(Access::load(cur->keys[pos]), k)) {
+                if (pos < n && Access::compare(comp_, cur->keys[pos], k) == 0) {
                     if (!cur->lock.validate(cur_lease)) return std::nullopt;
                     if (!cur->inner) hints.set(HintKind::Insert, cur);
                     return false;
@@ -1455,7 +1384,7 @@ private:
         const unsigned pos =
             search_pos_racy_hinted(leaf, n, k, hints.slots.get(HintKind::Insert));
         if constexpr (!AllowDuplicates) {
-            if (pos < n && comp_.equal(Access::load(leaf->keys[pos]), k)) {
+            if (pos < n && Access::compare(comp_, leaf->keys[pos], k) == 0) {
                 if (!leaf->lock.validate(lease)) return LeafResult::Retry;
                 // Duplicate inserts are the common case in Datalog (semi-naïve
                 // evaluation re-derives tuples constantly); remember the leaf
@@ -1566,7 +1495,7 @@ private:
                         const unsigned pos = search_pos_racy_hinted(
                             h, n, k, hints.slots.get(HintKind::Insert));
                         if (pos < n &&
-                            comp_.equal(Access::load(h->keys[pos]), k)) {
+                            Access::compare(comp_, h->keys[pos], k) == 0) {
                             if (!h->lock.validate(l)) return std::nullopt;
                             DTREE_METRIC_INC(combine_elisions);
                             hints.set(HintKind::Insert, h);
@@ -1661,7 +1590,7 @@ private:
             }
             const unsigned pos = search_pos_racy(cur, n, k);
             if constexpr (!AllowDuplicates) {
-                if (pos < n && comp_.equal(Access::load(cur->keys[pos]), k)) {
+                if (pos < n && Access::compare(comp_, cur->keys[pos], k) == 0) {
                     if (!cur->lock.validate(cur_lease)) return {};
                     return {nullptr, Lease{}, true};
                 }
@@ -1765,7 +1694,7 @@ private:
             }
             const unsigned pos = search_pos_racy(leaf, n, k);
             if constexpr (!AllowDuplicates) {
-                if (pos < n && comp_.equal(Access::load(leaf->keys[pos]), k)) {
+                if (pos < n && Access::compare(comp_, leaf->keys[pos], k) == 0) {
                     ++resolved;
                     e->state.store(CombineState::Duplicate,
                                    std::memory_order_release);
@@ -2345,32 +2274,33 @@ private:
 
     // -- helpers --------------------------------------------------------------
 
-    /// Does the (leaf) node's current key range contain k? Uses racy loads;
-    /// concurrent callers must validate the node's lease afterwards. Layout
-    /// v2 reads the cached min/max (keys[0]/keys[n-1] carry no range meaning
-    /// once an append zone exists).
+    /// Does the (leaf) node's current key range contain k? Racing callers
+    /// (A = Access) must validate the node's lease afterwards; phase reads
+    /// pass SeqAccess. Layout v2 reads the cached min/max (keys[0]/keys[n-1]
+    /// carry no range meaning once an append zone exists).
+    template <typename A = Access>
     bool leaf_covers(const NodeT* leaf, const Key& k) const {
         const unsigned n = leaf->num_elements.load();
         if (n == 0 || n > BlockSize) return false;
         if constexpr (WithFingerprints) {
-            return comp_(Access::load(leaf->fpst.min_key), k) <= 0 &&
-                   comp_(k, Access::load(leaf->fpst.max_key)) <= 0;
+            return A::compare(comp_, leaf->fpst.min_key, k) <= 0 &&
+                   A::compare(comp_, leaf->fpst.max_key, k) >= 0;
         } else {
-            return comp_(Access::load(leaf->keys[0]), k) <= 0 &&
-                   comp_(k, Access::load(leaf->keys[n - 1])) <= 0;
+            return A::compare(comp_, leaf->keys[0], k) <= 0 &&
+                   A::compare(comp_, leaf->keys[n - 1], k) >= 0;
         }
     }
 
-    /// Left-edge test for the bound-query hint paths: smallest leaf key < k
-    /// (strict) or <= k. Same racy-load contract as leaf_covers. (`n` is for
-    /// signature symmetry with leaf_edge_ge; the left edge never needs it.)
+    /// Left-edge test for the bound-query hint paths (phase reads): smallest
+    /// leaf key < k (strict) or <= k. (`n` is for signature symmetry with
+    /// leaf_edge_ge; the left edge never needs it.)
     bool leaf_edge_lt(const NodeT* leaf, [[maybe_unused]] unsigned n,
                       const Key& k, bool strict_left) const {
-        const Key lo = [&] {
+        const Key& lo = [&]() -> const Key& {
             if constexpr (WithFingerprints) {
-                return Access::load(leaf->fpst.min_key);
+                return leaf->fpst.min_key;
             } else {
-                return Access::load(leaf->keys[0]);
+                return leaf->keys[0];
             }
         }();
         const int c = comp_(lo, k);
@@ -2380,11 +2310,11 @@ private:
     /// Right-edge test: k < largest leaf key (strict) or <= it.
     bool leaf_edge_ge(const NodeT* leaf, unsigned n, const Key& k,
                       bool strict_right) const {
-        const Key hi = [&] {
+        const Key& hi = [&]() -> const Key& {
             if constexpr (WithFingerprints) {
-                return Access::load(leaf->fpst.max_key);
+                return leaf->fpst.max_key;
             } else {
-                return Access::load(leaf->keys[n - 1]);
+                return leaf->keys[n - 1];
             }
         }();
         const int c = comp_(k, hi);
@@ -2395,31 +2325,32 @@ private:
 
     /// Fingerprint membership probe: a physical slot in [0, n) holding a key
     /// equal to k, or -1. One AVX2 byte-compare nominates candidate slots;
-    /// only those load actual key elements. Racy — concurrent callers trust
-    /// the verdict only after validating the lease the probe ran under.
+    /// only those compare actual key elements. Racing callers (A = Access)
+    /// trust the verdict only after validating the lease the probe ran
+    /// under; phase reads pass SeqAccess.
+    template <typename A = Access>
     int leaf_fp_find(const NodeT* leaf, unsigned n, const Key& k) const
         requires WithFingerprints
     {
         if (n > BlockSize) n = BlockSize; // torn count: stay in bounds
-        return detail::simd::fp_find<Access>(
+        return detail::simd::fp_find<A>(
             leaf->fp_bytes(), n, dtree::key_fingerprint(k),
             [&](unsigned slot) {
-                return comp_.equal(Access::load(leaf->keys[slot]), k);
+                return A::compare(comp_, leaf->keys[slot], k) == 0;
             });
     }
 
     /// Rank (merged-view position) of the first key >= k in a v2 leaf: the
     /// configured in-node search over the sorted prefix plus a linear count
-    /// over the append zone. Racy loads; phase-concurrent or validated
-    /// callers only.
+    /// over the append zone. Phase reads only.
     unsigned leaf_rank_lower(const NodeT* leaf, unsigned n, const Key& k) const
         requires WithFingerprints
     {
         unsigned s = leaf->fp_sorted();
         if (s > n) s = n; // torn watermark
-        unsigned r = detail::node_lower<Search, Access>(leaf, s, k, comp_);
+        unsigned r = detail::node_lower<Search, SeqAccess>(leaf, s, k, comp_);
         for (unsigned i = s; i < n; ++i) {
-            if (comp_(Access::load(leaf->keys[i]), k) < 0) ++r;
+            if (comp_(leaf->keys[i], k) < 0) ++r;
         }
         return r;
     }
@@ -2430,9 +2361,9 @@ private:
     {
         unsigned s = leaf->fp_sorted();
         if (s > n) s = n;
-        unsigned r = detail::node_upper<Search, Access>(leaf, s, k, comp_);
+        unsigned r = detail::node_upper<Search, SeqAccess>(leaf, s, k, comp_);
         for (unsigned i = s; i < n; ++i) {
-            if (comp_(Access::load(leaf->keys[i]), k) <= 0) ++r;
+            if (comp_(leaf->keys[i], k) <= 0) ++r;
         }
         return r;
     }
@@ -2452,10 +2383,10 @@ private:
             Access::store(leaf->fpst.max_key, k);
             leaf->fp_sorted_store(1);
         } else {
-            if (comp_(k, Access::load(leaf->fpst.min_key)) < 0) {
+            if (Access::compare(comp_, leaf->fpst.min_key, k) > 0) {
                 Access::store(leaf->fpst.min_key, k);
             }
-            if (comp_(Access::load(leaf->fpst.max_key), k) < 0) {
+            if (Access::compare(comp_, leaf->fpst.max_key, k) < 0) {
                 Access::store(leaf->fpst.max_key, k);
             }
             if (leaf->fp_sorted() == n &&
@@ -2532,68 +2463,65 @@ private:
         }
     }
 
-    /// Membership inside one leaf under a pending lease; nullopt = the
-    /// lease failed validation (caller restarts). Both layouts.
-    std::optional<bool> leaf_membership(const NodeT* leaf, Lease lease,
-                                       const Key& k,
-                                       operation_hints& hints) const {
-        const unsigned n = leaf->num_elements.load();
-        if (n > BlockSize) return std::nullopt; // torn; validation would fail
-        bool found;
-        unsigned pos = 0;
-        if constexpr (WithFingerprints) {
-            found = leaf_fp_find(leaf, n, k) >= 0;
-        } else {
-            pos = search_pos_racy_hinted(leaf, n, k,
-                                         hints.slots.get(HintKind::Contains));
-            if constexpr (AllowDuplicates) {
-                // search_pos is the UPPER bound for multisets (duplicates
-                // cluster left of it), so the witness sits one slot before.
-                found = pos > 0 &&
-                        comp_.equal(Access::load(leaf->keys[pos - 1]), k);
-            } else {
-                found = pos < n &&
-                        comp_.equal(Access::load(leaf->keys[pos]), k);
-            }
-        }
-        if (!leaf->lock.validate(lease)) return std::nullopt;
-        hints.set(HintKind::Contains, const_cast<NodeT*>(leaf));
-        if constexpr (!WithFingerprints) {
-            hints.slots.set(HintKind::Contains, pos);
-        }
-        return found;
-    }
+    /// Where a phase-concurrent point probe found k: the node and physical
+    /// slot of an equal key, or node == nullptr.
+    struct ProbeHit {
+        const NodeT* node = nullptr;
+        unsigned slot = 0;
+    };
 
-    /// One validated membership descent (contains()); nullopt = restart.
-    std::optional<bool> contains_descent(const Key& k,
-                                         operation_hints& hints) const {
-        Lease root_lease, cur_lease;
-        const NodeT* cur;
-        do {
-            root_lease = root_lock_.start_read();
-            cur = root_.load_acquire();
-            if (!cur) return false; // tree never shrinks; defensive only
-            cur_lease = cur->lock.start_read();
-        } while (!root_lock_.end_read(root_lease));
+    /// The point probe behind find() and contains(): hinted leaf first, else
+    /// one descent. Inner separators are elements too, so membership can
+    /// resolve on the way down. Phase reads only (SeqAccess, no lease).
+    ProbeHit probe(const Key& k, operation_hints& hints) const {
+        const NodeT* cur = root_.load();
+        // Table 2 definition: every hinted operation is a hit or a miss, so a
+        // cold (empty) hint slot — and an empty tree — count as misses too.
+        if (!cur) {
+            hints.stats.miss(HintKind::Contains);
+            return {};
+        }
+        if (NodeT* leaf = hints.get(HintKind::Contains);
+            leaf && leaf_covers<SeqAccess>(leaf, k)) {
+            hints.stats.hit(HintKind::Contains);
+            // The covering leaf would have to contain k.
+            return leaf_probe(leaf, k, hints, hints.slots.get(HintKind::Contains));
+        }
+        hints.stats.miss(HintKind::Contains);
         for (;;) {
-            const unsigned n = cur->num_elements.load();
-            if (!cur->inner) return leaf_membership(cur, cur_lease, k, hints);
-            // Inner nodes are sorted in both layouts; an equal separator IS
-            // an element of the (multi)set, so membership can resolve on
-            // the way down.
-            const unsigned pos =
-                detail::node_lower<Search, Access>(cur, n, k, comp_);
-            if (pos < n && comp_.equal(Access::load(cur->keys[pos]), k)) {
-                if (!cur->lock.validate(cur_lease)) return std::nullopt;
-                return true;
+            if (!cur->inner) {
+                hints.set(HintKind::Contains, const_cast<NodeT*>(cur));
+                return leaf_probe(cur, k, hints, detail::kNoSlotHint);
             }
+            const unsigned n = cur->num_elements.load();
+            const unsigned pos =
+                detail::node_lower<Search, SeqAccess>(cur, n, k, comp_);
+            if (pos < n && comp_.equal(cur->keys[pos], k)) return {cur, pos};
             const NodeT* next = cur->as_inner()->children[pos].load();
             detail::prefetch_node(next);
-            if (!cur->lock.validate(cur_lease)) return std::nullopt;
-            const Lease next_lease = next->lock.start_read();
-            if (!cur->lock.validate(cur_lease)) return std::nullopt;
             cur = next;
-            cur_lease = next_lease;
+        }
+    }
+
+    /// Membership inside one leaf: the fingerprint probe on v2 leaves, the
+    /// sorted search on v1 leaves, steered by `guess` unless it is
+    /// kNoSlotHint (a fresh descent). Phase reads only.
+    ProbeHit leaf_probe(const NodeT* leaf, const Key& k, operation_hints& hints,
+                        [[maybe_unused]] std::uint32_t guess) const {
+        const unsigned n = leaf->num_elements.load();
+        if constexpr (WithFingerprints) {
+            const int slot = leaf_fp_find<SeqAccess>(leaf, n, k);
+            if (slot < 0) return {};
+            return {leaf, static_cast<unsigned>(slot)};
+        } else {
+            const unsigned pos =
+                guess == detail::kNoSlotHint
+                    ? detail::node_lower<Search, SeqAccess>(leaf, n, k, comp_)
+                    : detail::node_lower_hinted<Search, SeqAccess>(
+                          leaf, n, k, comp_, guess);
+            hints.slots.set(HintKind::Contains, pos);
+            if (pos < n && comp_.equal(leaf->keys[pos], k)) return {leaf, pos};
+            return {};
         }
     }
 

@@ -310,7 +310,7 @@ struct LinearSearch {
     template <typename Access, typename Key, typename Comp>
     static unsigned lower(const Key* keys, unsigned n, const Key& k, const Comp& comp) {
         unsigned i = 0;
-        while (i < n && comp(Access::load(keys[i]), k) < 0) ++i;
+        while (i < n && Access::compare(comp, keys[i], k) < 0) ++i;
         return i;
     }
 
@@ -318,7 +318,7 @@ struct LinearSearch {
     template <typename Access, typename Key, typename Comp>
     static unsigned upper(const Key* keys, unsigned n, const Key& k, const Comp& comp) {
         unsigned i = 0;
-        while (i < n && comp(Access::load(keys[i]), k) <= 0) ++i;
+        while (i < n && Access::compare(comp, keys[i], k) <= 0) ++i;
         return i;
     }
 };
@@ -331,7 +331,7 @@ struct BinarySearch {
         unsigned lo = 0, hi = n;
         while (lo < hi) {
             const unsigned mid = lo + (hi - lo) / 2;
-            if (comp(Access::load(keys[mid]), k) < 0) {
+            if (Access::compare(comp, keys[mid], k) < 0) {
                 lo = mid + 1;
             } else {
                 hi = mid;
@@ -345,7 +345,7 @@ struct BinarySearch {
         unsigned lo = 0, hi = n;
         while (lo < hi) {
             const unsigned mid = lo + (hi - lo) / 2;
-            if (comp(Access::load(keys[mid]), k) <= 0) {
+            if (Access::compare(comp, keys[mid], k) <= 0) {
                 lo = mid + 1;
             } else {
                 hi = mid;
@@ -482,9 +482,9 @@ inline unsigned node_lower_hinted(const NodeT* node, unsigned n, const Key& k,
                                   const Comp& comp, std::uint32_t guess) {
     if (guess <= n) {
         const bool left_ok =
-            guess == 0 || comp(Access::load(node->keys[guess - 1]), k) < 0;
+            guess == 0 || Access::compare(comp, node->keys[guess - 1], k) < 0;
         if (left_ok &&
-            (guess == n || comp(Access::load(node->keys[guess]), k) >= 0)) {
+            (guess == n || Access::compare(comp, node->keys[guess], k) >= 0)) {
             return guess;
         }
     }
@@ -498,9 +498,9 @@ inline unsigned node_upper_hinted(const NodeT* node, unsigned n, const Key& k,
                                   const Comp& comp, std::uint32_t guess) {
     if (guess <= n) {
         const bool left_ok =
-            guess == 0 || comp(Access::load(node->keys[guess - 1]), k) <= 0;
+            guess == 0 || Access::compare(comp, node->keys[guess - 1], k) <= 0;
         if (left_ok &&
-            (guess == n || comp(Access::load(node->keys[guess]), k) > 0)) {
+            (guess == n || Access::compare(comp, node->keys[guess], k) > 0)) {
             return guess;
         }
     }

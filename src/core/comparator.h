@@ -34,6 +34,11 @@ struct ThreeWayComparator {
 
 template <std::size_t Arity, typename T>
 struct ThreeWayComparator<Tuple<Arity, T>> {
+    /// Element i decides only when elements [0, i) tie, compared with `<`:
+    /// racy readers may load one element at a time and stop at the first
+    /// difference (ConcurrentAccess::compare, core/race_access.h).
+    static constexpr bool lexicographic = true;
+
     int operator()(const Tuple<Arity, T>& a, const Tuple<Arity, T>& b) const {
         for (std::size_t i = 0; i < Arity; ++i) {
             if (a[i] < b[i]) return -1;

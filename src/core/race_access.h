@@ -1,19 +1,34 @@
 #pragma once
 
-// Seqlock-safe access to data protected by an OptimisticReadWriteLock.
+// Seqlock-safe access to node data that a writer may be storing concurrently.
 //
-// Under the optimistic protocol, readers intentionally race with writers and
-// discard what they read when validation fails. C++ declares such races
-// undefined behaviour unless the conflicting accesses are atomic, so (as the
-// paper describes, following Boehm) every field a reader may touch without
-// holding the write lock is accessed through relaxed atomic operations:
+// The tree's concurrency contract (core/btree.h) has exactly two kinds of
+// reader:
 //
-//   * whole-word fields (counts, pointers) are stored as std::atomic<T> and
-//     accessed through the relaxed_value<T> wrapper below;
-//   * key payloads (tuples) stay plain objects in node arrays — copying them
-//     through std::atomic would be prohibitively invasive — and are instead
-//     read/written *per scalar element* through std::atomic_ref, which C++20
-//     provides exactly for this purpose.
+//   * Phase reads — find / contains / lower_bound / upper_bound, iteration.
+//     Semi-naive evaluation runs them only while no writer is active (the
+//     paper's two-phase guarantee, §2/§3.1); a barrier separates them from
+//     the previous write phase. They race nobody, so every instantiation
+//     reads their keys through SeqAccess: plain loads, no lease. (Counts
+//     and child pointers stay relaxed_value loads, plain moves on x86.)
+//   * Racing reads — insert's own optimistic descent and containment check
+//     (Alg. 1), the combining elision probe, and snapshot reads of live
+//     nodes. They intentionally race writers and discard what they read when
+//     lease validation fails. C++ declares such races undefined behaviour
+//     unless the conflicting accesses are atomic, so (as the paper
+//     describes, following Boehm) these readers and every writer use relaxed
+//     atomic operations through ConcurrentAccess:
+//       - whole-word fields (counts, pointers) are std::atomic<T> behind the
+//         relaxed_value<T> wrapper below;
+//       - key payloads (tuples) stay plain objects in node arrays and are
+//         read/written *per scalar element* through std::atomic_ref, which
+//         C++20 provides exactly for this purpose.
+//
+// Racing readers mostly compare a stored key with a private probe rather
+// than copy it out, so the policies offer compare(comp, stored, probe) next
+// to load(): under a lexicographic tuple comparator ConcurrentAccess loads
+// one element at a time and stops at the first difference, which usually
+// means one atomic load per compare instead of one per column.
 //
 // The sequential tree variant bypasses all of this: SeqAccess compiles to
 // plain loads and stores with zero overhead, which is what the paper's
@@ -36,6 +51,11 @@ concept ElementwiseKey = requires(T t, const T ct) {
     { t.data() } -> std::convertible_to<typename T::value_type*>;
     { T::static_size() } -> std::convertible_to<std::size_t>;
 };
+
+/// Comparators whose order is the element-wise lexicographic `<` order of an
+/// ElementwiseKey (core/comparator.h marks ThreeWayComparator<Tuple>).
+template <typename Comp>
+concept LexicographicComparator = requires { requires Comp::lexicographic; };
 
 /// Access policy for the concurrent tree: all racy loads/stores relaxed.
 struct ConcurrentAccess {
@@ -71,6 +91,27 @@ struct ConcurrentAccess {
                 .store(v.data()[i], std::memory_order_relaxed);
         }
     }
+
+    /// comp(stored, probe) for a racily read `stored` and a private `probe`.
+    /// Lexicographic comparators load `stored` lazily, one relaxed element
+    /// at a time up to the first difference; any other comparator sees a
+    /// full load() copy.
+    template <typename Comp, typename T>
+    static int compare(const Comp& comp, const T& stored, const T& probe) {
+        if constexpr (ElementwiseKey<T> && LexicographicComparator<Comp>) {
+            using V = typename T::value_type;
+            for (std::size_t i = 0; i < T::static_size(); ++i) {
+                const V a = std::atomic_ref<V>(const_cast<V&>(stored.data()[i]))
+                                .load(std::memory_order_relaxed);
+                const V b = probe.data()[i];
+                if (a < b) return -1;
+                if (b < a) return 1;
+            }
+            return 0;
+        } else {
+            return comp(load(stored), probe);
+        }
+    }
 };
 
 /// Access policy for the sequential tree: plain loads/stores, no fences.
@@ -86,6 +127,11 @@ struct SeqAccess {
     static void store(T& dst, const T& v) {
         dst = v;
     }
+
+    template <typename Comp, typename T>
+    static int compare(const Comp& comp, const T& stored, const T& probe) {
+        return comp(stored, probe);
+    }
 };
 
 // ---------------------------------------------------------------------------
@@ -100,12 +146,12 @@ struct SeqAccess {
 // same reason the rules exist at all:
 //
 //   1. Scope. Vector loads are issued ONLY between start_read()/validate()
-//      of the node's OptimisticReadWriteLock, or while the caller holds the
-//      node's write lock (where there is no race at all). There is no third
-//      call site.
+//      of the node's OptimisticReadWriteLock, while the caller holds the
+//      node's write lock, or in a phase read with no writer active (the
+//      last two race nothing). There is no fourth call site.
 //   2. Discard-on-conflict. A fingerprint match is never acted on directly:
 //      it only nominates a slot for full key verification, itself an
-//      Access::load racy read re-checked by the same validate(). A torn
+//      Access::compare racy read re-checked by the same validate(). A torn
 //      fingerprint byte can therefore cause at most a spurious verify
 //      (counted as fp_false_hits) or a miss that the seqlock retry repairs.
 //      No value computed from the vector load survives a failed validation
@@ -119,9 +165,9 @@ struct SeqAccess {
 //      one shim so sanitizers can reason about the rest of the tree: under
 //      ThreadSanitizer (which instruments exactly the C++-level race) the
 //      vector path is compiled OUT below, and fp_find's scalar fallback
-//      reads the fingerprints through Access::load's per-byte relaxed
-//      atomics — the TSan-clean path that scripts/check.sh's TSan leg
-//      exercises.
+//      reads the fingerprints through the caller's Access policy (per-byte
+//      relaxed atomics for racing readers) — the TSan-clean path that
+//      scripts/check.sh's TSan leg exercises.
 //
 // One ordering obligation comes with it: writers publish a slot's
 // fingerprint with a RELEASE store ordered after the per-element key stores

@@ -143,6 +143,53 @@ TEST_P(ConcurrentInsert, PhaseConcurrentReadAfterWritePhases) {
     EXPECT_EQ(t.size(), rounds * n);
 }
 
+// The same two-phase pattern on zero-padded Tuple<4> storage keys whose
+// first column repeats, so compares tie on a prefix: the read phase's plain
+// loads must answer contains / lower_bound / upper_bound exactly as std::set.
+TEST_P(ConcurrentInsert, PhaseConcurrentTupleReadsMatchOracle) {
+    const auto [threads, n] = GetParam();
+    using Key = Tuple<4>;
+    dtree::btree_set<Key> t;
+    std::set<Key> oracle;
+    // Distinct per i: (i * 5) % 8 permutes i % 8. Second columns are even,
+    // so an odd one makes an absent probe between two present keys.
+    const auto key = [](std::size_t i, std::uint64_t odd) {
+        return Key{static_cast<std::uint64_t>(i / 8),
+                   static_cast<std::uint64_t>((i * 5) % 8 * 2 + odd)};
+    };
+    const auto same = [&](dtree::btree_set<Key>::const_iterator it,
+                          std::set<Key>::const_iterator ref) {
+        if (ref == oracle.end()) return it == t.end();
+        return it != t.end() && *it == *ref;
+    };
+    const std::size_t rounds = 4;
+    for (std::size_t r = 0; r < rounds; ++r) {
+        parallel_blocks(n, threads, [&](unsigned, std::size_t b, std::size_t e) {
+            auto hints = t.create_hints();
+            for (std::size_t i = b; i < e; ++i) t.insert(key(r * n + i, 0), hints);
+        });
+        for (std::size_t i = 0; i < n; ++i) oracle.insert(key(r * n + i, 0));
+        // Read phase, one past the written range so end() answers appear.
+        parallel_blocks((r + 1) * n + 8, threads,
+                        [&](unsigned, std::size_t b, std::size_t e) {
+            auto hints = t.create_hints();
+            for (std::size_t i = b; i < e; ++i) {
+                for (const std::uint64_t odd : {0u, 1u}) {
+                    const Key k = key(i, odd);
+                    ASSERT_EQ(t.contains(k, hints), oracle.count(k) == 1) << k;
+                    ASSERT_TRUE(same(t.lower_bound(k, hints),
+                                     oracle.lower_bound(k)))
+                        << "lower_bound " << k;
+                    ASSERT_TRUE(same(t.upper_bound(k, hints),
+                                     oracle.upper_bound(k)))
+                        << "upper_bound " << k;
+                }
+            }
+        });
+    }
+    EXPECT_EQ(t.size(), oracle.size());
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Sweep, ConcurrentInsert,
     ::testing::Values(Params{2, 20000}, Params{4, 20000}, Params{8, 12000},

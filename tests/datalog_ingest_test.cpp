@@ -160,6 +160,20 @@ TEST(DatalogIngest, Ec2Like) {
     check_workload(make_ec2_like(60, 5), {"blocked"});
 }
 
+// The evaluator's read phases (head-FULL filter, body membership tests and
+// range scans) use plain loads and no leases; at 4 threads the write phases
+// around them must still derive exactly what the std::set oracle does. This
+// is the engine-level TSan proof that no read overlaps a writer.
+TEST(DatalogIngest, PhaseReadsAtFourThreadsMatchStlSet) {
+    for (const Workload& w : {make_ec2_like(256, 5), make_doop_like(300, 3)}) {
+        const RelationMap want = one_shot<Engine<storage::StlSet>>(w, 1);
+        expect_equal(one_shot<DefaultEngine>(w, 4), want,
+                     w.name + "/OurBTree/4T-vs-StlSet");
+        expect_equal(one_shot<SnapEngine>(w, 4), want,
+                     w.name + "/OurBTreeSnap/4T-vs-StlSet");
+    }
+}
+
 // Serve-probe shape: reader threads pin snapshots and self-check WHILE
 // ingest batches commit (this is the configuration the TSan CI leg runs).
 TEST(DatalogIngest, SnapshotReadersDuringIngest) {

@@ -2,6 +2,7 @@
 // arena node allocator (node_allocator.h).
 
 #include "core/btree.h"
+#include "core/comparator.h"
 #include "core/race_access.h"
 #include "core/tuple.h"
 #include "util/parallel.h"
@@ -9,7 +10,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
+#include <limits>
 #include <set>
+#include <vector>
 
 namespace {
 
@@ -81,6 +85,73 @@ TEST(RaceAccess, ConcurrentElementwiseAccessIsDefined) {
     }
     writer.join();
     EXPECT_GT(reads, 0u);
+}
+
+// -- Access::compare -------------------------------------------------------------
+
+int sign(int c) { return (c > 0) - (c < 0); }
+
+/// Every N-tuple over a small alphabet holding zero (the padding value), its
+/// neighbours and the extremes: every prefix length ties for some pair.
+template <std::size_t N>
+std::vector<Tuple<N>> compare_domain() {
+    constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+    const std::uint64_t alphabet[] = {0, 1, 2, kMax - 1, kMax};
+    std::vector<Tuple<N>> out(1);
+    for (std::size_t col = 0; col < N; ++col) {
+        std::vector<Tuple<N>> next;
+        for (const auto& t : out) {
+            for (const std::uint64_t v : alphabet) {
+                Tuple<N> u = t;
+                u[col] = v;
+                next.push_back(u);
+            }
+        }
+        out.swap(next);
+    }
+    // Zero-padded construction, as storage tuples of a smaller arity.
+    out.push_back(Tuple<N>{std::uint64_t{1}});
+    out.push_back(Tuple<N>{kMax});
+    return out;
+}
+
+/// sign(ConcurrentAccess::compare) == sign(SeqAccess::compare) == sign(comp)
+/// over every ordered pair of the domain.
+template <std::size_t N, typename Comp>
+void expect_compare_agrees(const Comp& comp) {
+    const auto keys = compare_domain<N>();
+    std::size_t mismatches = 0;
+    for (const auto& stored : keys) {
+        for (const auto& probe : keys) {
+            const int want = sign(comp(stored, probe));
+            if (sign(ConcurrentAccess::compare(comp, stored, probe)) != want ||
+                sign(SeqAccess::compare(comp, stored, probe)) != want) {
+                ++mismatches;
+            }
+        }
+    }
+    EXPECT_EQ(mismatches, 0u) << "Tuple<" << N << ">";
+}
+
+TEST(RaceAccess, LazyTupleCompareMatchesComparator) {
+    static_assert(
+        dtree::LexicographicComparator<dtree::ThreeWayComparator<Tuple<4>>>);
+    expect_compare_agrees<1>(dtree::ThreeWayComparator<Tuple<1>>{});
+    expect_compare_agrees<2>(dtree::ThreeWayComparator<Tuple<2>>{});
+    expect_compare_agrees<3>(dtree::ThreeWayComparator<Tuple<3>>{});
+    expect_compare_agrees<4>(dtree::ThreeWayComparator<Tuple<4>>{});
+}
+
+TEST(RaceAccess, NonLexicographicCompareTakesFullLoad) {
+    using Desc = dtree::LessToThreeWay<Tuple<3>, std::greater<Tuple<3>>>;
+    static_assert(!dtree::LexicographicComparator<Desc>);
+    static_assert(!dtree::LexicographicComparator<
+                  dtree::ThreeWayComparator<std::uint64_t>>);
+    expect_compare_agrees<3>(Desc{});
+    // The reversed order really is reversed, so agreement is not vacuous.
+    EXPECT_GT(ConcurrentAccess::compare(Desc{}, Tuple<3>{1, 0, 0},
+                                        Tuple<3>{2, 0, 0}),
+              0);
 }
 
 // -- arena allocator -------------------------------------------------------------

@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <set>
 #include <string>
@@ -531,15 +532,22 @@ TEST_F(TortureTest, FpInjectedTupleTieRanges) {
     dtree::util::parallel_blocks(
         kThreads, kThreads, [&](unsigned tid, std::size_t, std::size_t) {
             auto h = tree.create_hints();
-            for (const auto& k : input[tid]) {
-                tree.insert(k, h);
-                tree.contains(k, h);
-            }
+            for (const auto& k : input[tid]) tree.insert(k, h);
         });
 
     EXPECT_GT(fail::fires(fail::Site::validate_fail), 0u);
     const std::string err = tree.check_invariants();
     ASSERT_TRUE(err.empty()) << err;
+    // Read phase after the barrier: every thread probes its own input.
+    std::atomic<std::size_t> missing{0};
+    dtree::util::parallel_blocks(
+        kThreads, kThreads, [&](unsigned tid, std::size_t, std::size_t) {
+            auto h = tree.create_hints();
+            for (const auto& k : input[tid]) {
+                if (!tree.contains(k, h)) missing.fetch_add(1);
+            }
+        });
+    EXPECT_EQ(missing.load(), 0u) << "contains missed inserted tuple keys";
     std::vector<Key> got(tree.begin(), tree.end());
     std::vector<Key> want(oracle.begin(), oracle.end());
     ASSERT_EQ(got, want)
