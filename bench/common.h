@@ -67,23 +67,19 @@ inline std::string label(std::size_t side) {
 // -- storage policy flags ----------------------------------------------------
 
 /// The storage-policy knobs shared by every binary that instantiates the
-/// tree family — `--search=default|linear|binary`, `--combine[=N]`,
-/// `--fingerprints` — parsed once here so soufflette, fig4 and table2 cannot
-/// drift apart on flag syntax. Each binary documents which policies its rows
-/// or engine dispatch act on; parsing is uniform regardless.
+/// tree family — `--search=default|linear|binary`, `--fingerprints` —
+/// parsed once here so soufflette, fig4 and table2 cannot drift apart on
+/// flag syntax. Each binary documents which policies its rows or engine
+/// dispatch act on; parsing is uniform regardless.
 struct StoragePolicy {
     enum class SearchMode { Default, Linear, Binary };
 
     SearchMode search = SearchMode::Default; ///< --search= (in-node kernel)
-    bool combine = false;                    ///< --combine[=N] given
-    std::uint32_t combine_threshold = 0;     ///< N of --combine=N
-    bool combine_threshold_set = false;      ///< --combine=N (not bare) given
     bool fingerprints = false;               ///< --fingerprints given (§15)
 };
 
 /// Parses the policy flags out of `cli`; returns false (after printing a
-/// diagnostic) on an unknown --search value. A bare `--combine` keeps the
-/// tree's default trigger threshold; `--combine=N` overrides it.
+/// diagnostic) on an unknown --search value.
 inline bool parse_storage_policy(const util::Cli& cli, StoragePolicy& out) {
     const std::string s = cli.get_str("search", "");
     if (s.empty() || s == "1" || s == "default") {
@@ -95,12 +91,6 @@ inline bool parse_storage_policy(const util::Cli& cli, StoragePolicy& out) {
     } else {
         std::cerr << "unknown --search=" << s << " (default|linear|binary)\n";
         return false;
-    }
-    out.combine = cli.has("combine");
-    if (out.combine && cli.get_str("combine", "1") != "1") {
-        out.combine_threshold =
-            static_cast<std::uint32_t>(cli.get_u64("combine", 2));
-        out.combine_threshold_set = true;
     }
     out.fingerprints = cli.get_bool("fingerprints");
     return true;

@@ -3,8 +3,7 @@
 //   ./build/bench/fig4_parallel_insert [--full] [--n=2000000] [--threads=1,2,4,8]
 //                                      [--sched=blocks|steal] [--grain=N]
 //                                      [--search=default|linear|binary]
-//                                      [--json=FILE] [--smoke] [--combine]
-//                                      [--fingerprints]
+//                                      [--json=FILE] [--smoke] [--fingerprints]
 //
 // --json writes the machine-readable run record (see bench/common.h);
 // --smoke runs only the single-socket sections (CI smoke job).
@@ -14,12 +13,6 @@
 // range into grain-sized chunks rebalanced by work stealing.
 // --search overrides the in-node search policy of the "btree" rows (the
 // baselines never change): the scaling counterpart of bench/ablation_search.
-// --combine adds a "btree (comb)" row running the combining-enabled tree
-// (DESIGN.md §14) at its default trigger threshold. Fig. 4's uniform keys
-// rarely trip the adaptive path — the row exists to show the policy costs
-// nothing when contention is low; bench/ablation_zipf shows the win. The
-// default sweep never instantiates the policy, which is what lets
-// scripts/bench.sh assert all-zero combine counters on this record.
 //
 // (a) ordered, single-socket thread counts {1..16}
 // (b) random,  single-socket thread counts {1..16}
@@ -129,13 +122,6 @@ void run_section(const char* title, std::size_t n, bool ordered,
     for (unsigned t : threads) {
         const auto pts = make_input(n, ordered, t);
         table.add("btree (n/h)", run_our<false>(pts, t));
-    }
-    if (g_policy.combine) {
-        for (unsigned t : threads) {
-            const auto pts = make_input(n, ordered, t);
-            table.add("btree (comb)",
-                      run_one<OurBTreeCombineAdapter<Point>>(pts, t));
-        }
     }
     if (g_policy.fingerprints) {
         // Leaf layout v2 (DESIGN.md §15). The default sweep never

@@ -24,15 +24,10 @@
 // refixpoint(); per-commit latency lands in a p50/p99/p999 histogram
 // reported by --stats and --profile JSON. Combined with --serve-probe, the
 // reader threads keep pinning snapshots while batches commit.
-// --combine[=N] switches to the combining-enabled storage (DESIGN.md §14):
-// inserts that keep losing optimistic validation fall back to hot-leaf
-// elimination/combining after N consecutive retries (default 2; N=0 routes
-// every insert through the adaptive path). Ignored under --serve-probe /
-// --listen, which select the snapshot storage instead.
 // --fingerprints switches to the leaf-layout-v2 storage (DESIGN.md §15):
 // membership tests resolve through per-leaf SIMD fingerprint probes and
-// in-leaf inserts append instead of shifting. Mutually exclusive with
-// --combine; ignored under --serve-probe / --listen like --combine.
+// in-leaf inserts append instead of shifting. Ignored under --serve-probe /
+// --listen, which select the snapshot storage instead.
 // --listen[=PORT] starts the TCP wire-protocol server (DESIGN.md §13) after
 // the initial fixpoint: concurrent sessions answer QUERY/RANGE/COUNT against
 // pinned snapshots while COMMITs group-commit through one writer thread;
@@ -73,9 +68,8 @@ namespace {
 
 using namespace dtree::datalog;
 
-/// Storage policy (--combine[=N] / --fingerprints); parsed once in main by
-/// bench::parse_storage_policy, consulted by the engine dispatch below and
-/// the threshold plumbing in run_soufflette.
+/// Storage policy (--fingerprints); parsed once in main by
+/// bench::parse_storage_policy, consulted by the engine dispatch below.
 dtree::bench::StoragePolicy g_policy;
 
 /// What one serve-probe reader observed. Merged and reported after the run.
@@ -319,12 +313,6 @@ int run_soufflette(const std::string& program_path, const dtree::util::Cli& cli,
         engine.set_scheduler_mode(mode);
     }
     if (grain) engine.set_grain(grain);
-    if (g_policy.combine_threshold_set) {
-        // Bare --combine keeps the tree's default trigger threshold;
-        // --combine=N overrides it. No-op on storages without the combining
-        // policy (e.g. under --listen).
-        engine.set_combine_threshold(g_policy.combine_threshold);
-    }
 
     for (const auto& decl : prog.decls) {
         if (!decl.is_input) continue;
@@ -562,7 +550,7 @@ int main(int argc, char** argv) {
                      "usage: %s <program.dl> [--facts=DIR] [--output=DIR] "
                      "[--jobs=N] [--sched=blocks|steal] [--grain=N] "
                      "[--serve[=FILE]] [--serve-probe[=N]] [--listen[=PORT]] "
-                     "[--combine[=N]] [--fingerprints] [--stats] "
+                     "[--fingerprints] [--stats] "
                      "[--profile[=FILE]]\n",
                      argv[0]);
         return 2;
@@ -575,27 +563,17 @@ int main(int argc, char** argv) {
 
     try {
         if (!dtree::bench::parse_storage_policy(cli, g_policy)) return 2;
-        if (g_policy.combine && g_policy.fingerprints) {
-            std::fprintf(stderr,
-                         "--combine and --fingerprints pick different "
-                         "storages; pass one\n");
-            return 2;
-        }
         // Snapshot-capable storage whenever someone will read concurrently
         // with evaluation: probe readers or wire-protocol sessions.
         if (probe_threads || cli.has("listen")) {
-            if (g_policy.combine || g_policy.fingerprints) {
+            if (g_policy.fingerprints) {
                 std::fprintf(stderr,
-                             "note: --combine/--fingerprints are ignored with "
+                             "note: --fingerprints is ignored with "
                              "--serve-probe/--listen (snapshot storage "
                              "selected)\n");
             }
             return run_soufflette<Engine<storage::OurBTreeSnap>>(
                 program_path, cli, probe_threads);
-        }
-        if (g_policy.combine) {
-            return run_soufflette<Engine<storage::OurBTreeCombine>>(
-                program_path, cli, 0);
         }
         if (g_policy.fingerprints) {
             return run_soufflette<Engine<storage::OurBTreeFp>>(

@@ -37,9 +37,9 @@ RUN_ASAN=1
 CONC_TARGETS=(torture_btree_test optimistic_lock_test btree_concurrent_test
               btree_smallnode_test hints_test runtime_scheduler_test
               btree_bulk_merge_test btree_search_test btree_snapshot_test
-              btree_combine_test datalog_ingest_test net_server_test)
+              datalog_ingest_test net_server_test)
 # ctest -R filter matching exactly the tests those targets register.
-CONC_FILTER='Torture|OptimisticLock|AbortWrite|Concurrent|SmallNode|Hint|Scheduler|BulkMerge|FromSorted|SampleSeparators|SearchEquivalence|SearchMetrics|Snapshot|Ingest|NetServer|Combine'
+CONC_FILTER='Torture|OptimisticLock|AbortWrite|Concurrent|SmallNode|Hint|Scheduler|BulkMerge|FromSorted|SampleSeparators|SearchEquivalence|SearchMetrics|Snapshot|Ingest|NetServer'
 # The TSan leg doubles as the scalar-fallback proof for the fingerprint
 # kernel of leaf layout v2 (DESIGN.md §15): TSan builds force
 # DTREE_SIMD_VECTOR off (src/core/race_access.h), so the Fp* equivalence and

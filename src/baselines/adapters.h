@@ -306,26 +306,6 @@ public:
         return tree_.snap_stats();
     }
 
-    // -- combining surface (DESIGN.md §14; combining-enabled trees only) -----
-
-    /// True for adapters over combine_btree_* trees; relation.h keys its
-    /// Relation::set_combine_threshold availability off this.
-    static constexpr bool combine_capable = Tree::with_combining;
-
-    /// Retry-streak threshold routing inserts onto the adaptive
-    /// elimination/combining path (0 = always adaptive).
-    void set_combine_threshold(std::uint32_t t)
-        requires(Tree::with_combining)
-    {
-        tree_.set_combine_threshold(t);
-    }
-
-    std::uint32_t combine_threshold() const
-        requires(Tree::with_combining)
-    {
-        return tree_.combine_threshold();
-    }
-
 private:
     Tree tree_;
     mutable typename Tree::operation_hints hints_;
@@ -336,10 +316,6 @@ using OurBTreeAdapter = BTreeAdapterImpl<btree_set<Key>, true, true>;
 /// Snapshot-enabled flavour: same tree + the epoch/Snapshot API (§11).
 template <typename Key>
 using OurBTreeSnapAdapter = BTreeAdapterImpl<snapshot_btree_set<Key>, true, true>;
-/// Combining-enabled flavour: same tree + the contention-adaptive
-/// elimination/combining insert path (§14).
-template <typename Key>
-using OurBTreeCombineAdapter = BTreeAdapterImpl<combine_btree_set<Key>, true, true>;
 /// Leaf-layout-v2 flavour: fingerprint membership + append-zone inserts (§15).
 template <typename Key>
 using OurBTreeFpAdapter = BTreeAdapterImpl<fp_btree_set<Key>, true, true>;

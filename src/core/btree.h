@@ -38,7 +38,6 @@
 #include <vector>
 
 #include "core/btree_detail.h"
-#include "core/combine.h"
 #include "core/comparator.h"
 #include "core/hints.h"
 #include "core/node_allocator.h"
@@ -108,15 +107,11 @@ template <typename Key,
           typename Access = ConcurrentAccess,
           bool AllowDuplicates = false,
           bool WithSnapshots = false,
-          bool WithCombining = false,
           bool WithFingerprints = false,
           typename Alloc = NewDeleteNodeAlloc<Key, BlockSize, Access,
                                               WithSnapshots, WithFingerprints>>
 class btree {
     static_assert(BlockSize >= 3, "nodes must hold at least three keys");
-    static_assert(!WithCombining || Access::concurrent,
-                  "the elimination/combining path exists to absorb concurrent "
-                  "write contention; sequential trees have none");
     static_assert(!WithFingerprints ||
                       requires(const Key& k) { dtree::key_fingerprint(k); },
                   "leaf layout v2 needs a key_fingerprint overload for this "
@@ -132,8 +127,6 @@ class btree {
     using InnerImageT = typename NodeT::SnapInnerImageT;
     using SnapStateT =
         detail::SnapTreeState<NodeT, Access::concurrent, WithSnapshots>;
-    using CombineStateT = detail::CombineTreeState<Key, WithCombining>;
-    using CombinePoolT = detail::CombinePool<Key>;
     // Snapshot retention frees detached subtrees with detail::free_subtree
     // (per-node delete); arena-style allocators would need chunk adoption on
     // steal() instead, which nothing needs yet.
@@ -155,7 +148,6 @@ public:
     static constexpr unsigned block_size = BlockSize;
     static constexpr bool allow_duplicates = AllowDuplicates;
     static constexpr bool with_snapshots = WithSnapshots;
-    static constexpr bool with_combining = WithCombining;
     static constexpr bool with_fingerprints = WithFingerprints;
 
     // -- operation hints ----------------------------------------------------
@@ -177,16 +169,12 @@ public:
     public:
         HintStats stats;
         SlotHints slots;
-        /// Per-thread retry streak feeding the contention-adaptive insert
-        /// path (§14); an empty member unless WithCombining is on.
-        [[no_unique_address]] detail::CombineStreak<WithCombining> combine;
 
         NodeT* get(HintKind k) const { return slots_[static_cast<unsigned>(k)]; }
         void set(HintKind k, NodeT* leaf) { slots_[static_cast<unsigned>(k)] = leaf; }
         void reset() {
             slots_[0] = slots_[1] = slots_[2] = slots_[3] = nullptr;
             slots.reset();
-            combine.reset();
         }
 
     private:
@@ -196,20 +184,6 @@ public:
     /// Factory for fresh hints (§3.2: "a factory function for initial
     /// operation hints"); equivalent to default construction.
     operation_hints create_hints() const { return operation_hints{}; }
-
-    // -- combining policy (DESIGN.md §14) -------------------------------------
-
-    /// Retry-streak threshold at or above which an insert takes the adaptive
-    /// elimination/combining path; 0 routes EVERY insert through it (used by
-    /// the deterministic equivalence tests). Thread-safe; takes effect on the
-    /// next insert of each thread.
-    void set_combine_threshold(std::uint32_t t) requires WithCombining {
-        combine_.threshold.store(t, std::memory_order_relaxed);
-    }
-
-    std::uint32_t combine_threshold() const requires WithCombining {
-        return combine_.threshold.load(std::memory_order_relaxed);
-    }
 
     // -- construction / destruction -----------------------------------------
 
@@ -1251,19 +1225,6 @@ private:
             root_lock_.abort_write(); // lost the race; nothing modified
         }
 
-        // Contention-adaptive path (§14): once this thread's retry streak
-        // crosses the threshold, storming inserts stop fighting over the hot
-        // leaf's version word — duplicates are elided read-only and genuine
-        // survivors are batched through the per-leaf combiner. Unresolvable
-        // attempts fall through to the ordinary Alg. 1 path below, which is
-        // always correct.
-        if constexpr (WithCombining) {
-            if (hints.combine.streak >=
-                combine_.threshold.load(std::memory_order_relaxed)) {
-                if (const auto r = insert_adaptive(k, hints)) return *r;
-            }
-        }
-
         // Hint fast path (§3.2): jump straight to the cached leaf. A cold
         // (empty) slot counts as a miss — Table 2's hit rate is hits over
         // ALL hinted operations, not just those with a populated slot.
@@ -1272,12 +1233,8 @@ private:
             if (leaf_covers(leaf, k) && leaf->lock.validate(lease)) {
                 hints.stats.hit(HintKind::Insert);
                 const LeafResult r = leaf_insert(leaf, lease, k, hints);
-                if (r != LeafResult::Retry) {
-                    hints.combine.decay();
-                    return r == LeafResult::Inserted;
-                }
+                if (r != LeafResult::Retry) return r == LeafResult::Inserted;
                 DTREE_METRIC_INC(btree_leaf_retries);
-                hints.combine.bump();
             } else {
                 hints.stats.miss(HintKind::Insert);
             }
@@ -1287,12 +1244,8 @@ private:
 
         for (;;) {
             const std::optional<bool> done = try_insert_from_root(k, hints);
-            if (done) {
-                hints.combine.decay();
-                return *done;
-            }
+            if (done) return *done;
             DTREE_METRIC_INC(btree_restarts);
-            hints.combine.bump();
         }
     }
 
@@ -1449,280 +1402,6 @@ private:
         leaf->lock.end_write();
         hints.set(HintKind::Insert, leaf);
         return LeafResult::Inserted;
-    }
-
-    // -- contention-adaptive insertion (elimination + combining, §14) ---------
-
-    /// Outcome of one read-only locating descent for the adaptive path.
-    struct CombineLocate {
-        NodeT* leaf = nullptr; ///< nullptr: restart (or duplicate, below)
-        Lease lease{};
-        bool duplicate = false; ///< membership answered during the descent
-    };
-
-    /// One insert through the adaptive path: a read-only elimination probe
-    /// answers the dominant re-derivation case with zero stores, genuine
-    /// survivors are published to the per-leaf combiner. nullopt = not
-    /// resolved here (unstable descent, saturated announce slot, or a Failed
-    /// verdict after the leaf split/moved); the caller falls back to the
-    /// ordinary optimistic path.
-    std::optional<bool> insert_adaptive(const Key& k, operation_hints& hints) {
-        // Locate the target leaf under a lease, without ever attempting an
-        // upgrade — the point is not to touch the hot version word at all.
-        // No lease survives past location: announcing to a leaf that went
-        // stale is safe, the combiner re-checks coverage under the write
-        // lock and fails the entry.
-        NodeT* leaf = nullptr;
-        if (NodeT* h = hints.get(HintKind::Insert)) {
-            const Lease l = h->lock.start_read();
-            if (leaf_covers(h, k) && h->lock.validate(l)) {
-                // Elimination probe on the hinted leaf (sets only: a multiset
-                // insert always changes the tree, so there is nothing to
-                // elide — it goes straight to the combiner).
-                if constexpr (!AllowDuplicates) {
-                    const unsigned n = h->num_elements.load();
-                    if (n > BlockSize) return std::nullopt; // torn; fall back
-                    if constexpr (WithFingerprints) {
-                        // v2: the elision probe IS the fingerprint probe —
-                        // one SIMD byte compare, zero key loads on a miss.
-                        if (leaf_fp_find(h, n, k) >= 0) {
-                            if (!h->lock.validate(l)) return std::nullopt;
-                            DTREE_METRIC_INC(combine_elisions);
-                            hints.set(HintKind::Insert, h);
-                            return false;
-                        }
-                    } else {
-                        const unsigned pos = search_pos_racy_hinted(
-                            h, n, k, hints.slots.get(HintKind::Insert));
-                        if (pos < n &&
-                            Access::compare(comp_, h->keys[pos], k) == 0) {
-                            if (!h->lock.validate(l)) return std::nullopt;
-                            DTREE_METRIC_INC(combine_elisions);
-                            hints.set(HintKind::Insert, h);
-                            hints.slots.set(HintKind::Insert, pos);
-                            return false;
-                        }
-                    }
-                }
-                if (!h->lock.validate(l)) return std::nullopt;
-                leaf = h;
-            }
-        }
-        if (!leaf) {
-            for (unsigned attempt = 0; attempt < 3 && !leaf; ++attempt) {
-                const CombineLocate loc = combine_locate(k);
-                if (loc.duplicate) {
-                    DTREE_METRIC_INC(combine_elisions);
-                    return false;
-                }
-                leaf = loc.leaf;
-            }
-            if (!leaf) return std::nullopt;
-        }
-
-        // Announce the survivor and combine. The wait loop *is* "try to
-        // become the combiner": the announcing thread can always apply its
-        // own batch, so resolution never depends on another thread.
-        CombinePoolT& pool = combine_.acquire_pool();
-        typename CombinePoolT::Slot& slot = pool.slot_for(leaf);
-        typename CombinePoolT::Entry* entry = pool.announce(slot, leaf, k);
-        if (!entry) return std::nullopt; // slot saturated; ordinary path
-        bool solo = true;
-        detail::CombineState verdict;
-        for (;;) {
-            const detail::CombineState st =
-                entry->state.load(std::memory_order_acquire);
-            if (st != detail::CombineState::Staged) {
-                verdict = CombinePoolT::consume(entry, st);
-                break;
-            }
-            if (slot.try_lock_combiner()) {
-                const unsigned batched = combine_apply(slot);
-                slot.unlock_combiner();
-                if (batched > 1) solo = false;
-                continue; // our entry was Staged before the apply: resolved
-            }
-            solo = false; // another thread is combining this slot
-            cpu_relax();
-        }
-        switch (verdict) {
-            case detail::CombineState::Inserted:
-                hints.set(HintKind::Insert, leaf);
-                // A solo batch is evidence the leaf cooled down: decay so
-                // the thread drops back to the pure optimistic protocol.
-                if (solo) hints.combine.decay();
-                return true;
-            case detail::CombineState::Duplicate:
-                hints.set(HintKind::Insert, leaf);
-                return false;
-            default: // Failed: the leaf split or no longer covers k
-                return std::nullopt;
-        }
-    }
-
-    /// One read-only descent to the leaf covering k; no upgrade attempts. A
-    /// side effect of classic B-tree layout — inner separators ARE elements —
-    /// is that membership is often answered on the way down, far from the
-    /// contended leaf: that is the `duplicate` verdict (sets only).
-    CombineLocate combine_locate(const Key& k) {
-        Lease root_lease, cur_lease;
-        NodeT* cur;
-        do {
-            root_lease = root_lock_.start_read();
-            cur = root_.load_acquire();
-            if (!cur) return {}; // tree emptied under us; caller falls back
-            cur_lease = cur->lock.start_read();
-        } while (!root_lock_.end_read(root_lease));
-        for (;;) {
-            const unsigned n = cur->num_elements.load();
-            if constexpr (WithFingerprints) {
-                if (!cur->inner) {
-                    // v2 leaf: the membership half of elimination runs on
-                    // the fingerprint array, not the sorted search.
-                    if constexpr (!AllowDuplicates) {
-                        if (leaf_fp_find(cur, n, k) >= 0) {
-                            if (!cur->lock.validate(cur_lease)) return {};
-                            return {nullptr, Lease{}, true};
-                        }
-                    }
-                    return {cur, cur_lease, false};
-                }
-            }
-            const unsigned pos = search_pos_racy(cur, n, k);
-            if constexpr (!AllowDuplicates) {
-                if (pos < n && Access::compare(comp_, cur->keys[pos], k) == 0) {
-                    if (!cur->lock.validate(cur_lease)) return {};
-                    return {nullptr, Lease{}, true};
-                }
-            }
-            if (!cur->inner) return {cur, cur_lease, false};
-            NodeT* next = cur->as_inner()->children[pos].load();
-            detail::prefetch_node(next);
-            if (!cur->lock.validate(cur_lease)) return {};
-            const Lease next_lease = next->lock.start_read();
-            if (!cur->lock.validate(cur_lease)) return {};
-            cur = next;
-            cur_lease = next_lease;
-        }
-    }
-
-    /// Combiner body: applies every Staged entry in `slot`, grouped by leaf
-    /// pointer — ONE write-lock acquisition per distinct leaf per round.
-    /// Returns the number of entries resolved (solo-round detection). Runs
-    /// with the slot's combiner word held.
-    unsigned combine_apply(typename CombinePoolT::Slot& slot) {
-        using detail::CombineState;
-        typename CombinePoolT::Entry* staged[CombinePoolT::kEntries];
-        unsigned n_staged = 0;
-        for (auto& e : slot.entries) {
-            if (e.state.load(std::memory_order_acquire) == CombineState::Staged) {
-                staged[n_staged++] = &e;
-            }
-        }
-        unsigned resolved = 0;
-        for (unsigned i = 0; i < n_staged; ++i) {
-            if (!staged[i]) continue; // consumed by an earlier leaf group
-            NodeT* leaf = static_cast<NodeT*>(staged[i]->leaf);
-            typename CombinePoolT::Entry* group[CombinePoolT::kEntries];
-            unsigned n_group = 0;
-            for (unsigned j = i; j < n_staged; ++j) {
-                if (staged[j] && staged[j]->leaf == leaf) {
-                    group[n_group++] = staged[j];
-                    staged[j] = nullptr;
-                }
-            }
-            resolved += combine_apply_leaf(leaf, group, n_group);
-        }
-        return resolved;
-    }
-
-    /// Applies one leaf's announced batch under a single write-lock
-    /// acquisition, publishing a per-entry verdict. The covered re-check
-    /// under the write lock makes this globally correct no matter how stale
-    /// the announcement: min <= k <= max on a live leaf pins k between the
-    /// leaf's separators (B-tree invariant), so k belongs to exactly this
-    /// leaf. Not covered => Failed => the announcer retries via Alg. 1.
-    unsigned combine_apply_leaf(NodeT* leaf,
-                                typename CombinePoolT::Entry** group,
-                                unsigned n_group) {
-        using detail::CombineState;
-        leaf->lock.start_write();
-        // One epoch load for the whole batch, after the lock is held — the
-        // same atomicity discipline as every other mutation (§11).
-        const std::uint64_t se = snap_epoch_now();
-        DTREE_METRIC_INC(combine_batches);
-        DTREE_METRIC_ADD(combine_batched_keys, n_group);
-        unsigned resolved = 0;
-        bool lock_released = false;
-        for (unsigned i = 0; i < n_group; ++i) {
-            typename CombinePoolT::Entry* e = group[i];
-            if (lock_released) { // a split consumed the write lock
-                e->state.store(CombineState::Failed, std::memory_order_release);
-                continue;
-            }
-            const Key k = e->key;
-            const unsigned n = leaf->num_elements.load();
-            if (!leaf_covers(leaf, k)) {
-                e->state.store(CombineState::Failed, std::memory_order_release);
-                continue;
-            }
-            if constexpr (WithFingerprints) {
-                // v2 batch apply: fingerprint dup probe + append per entry,
-                // all under the one write-lock acquisition.
-                if constexpr (!AllowDuplicates) {
-                    if (leaf_fp_find(leaf, n, k) >= 0) {
-                        ++resolved;
-                        e->state.store(CombineState::Duplicate,
-                                       std::memory_order_release);
-                        continue;
-                    }
-                }
-                if (leaf->full()) {
-                    split_concurrent(leaf);
-                    leaf->lock.end_write();
-                    lock_released = true;
-                    e->state.store(CombineState::Failed,
-                                   std::memory_order_release);
-                    continue;
-                }
-                snap_retain(leaf, se);
-                leaf_append(leaf, n, k);
-                ++resolved;
-                e->state.store(CombineState::Inserted,
-                               std::memory_order_release);
-                continue;
-            }
-            const unsigned pos = search_pos_racy(leaf, n, k);
-            if constexpr (!AllowDuplicates) {
-                if (pos < n && Access::compare(comp_, leaf->keys[pos], k) == 0) {
-                    ++resolved;
-                    e->state.store(CombineState::Duplicate,
-                                   std::memory_order_release);
-                    continue;
-                }
-            }
-            if (leaf->full()) {
-                // split_concurrent leaves `leaf` write-locked (it unlocks
-                // only ancestors and fresh siblings); release it and fail
-                // the rest of the batch — their announcers retry normally,
-                // exactly like leaf_insert's post-split Retry.
-                split_concurrent(leaf);
-                leaf->lock.end_write();
-                lock_released = true;
-                e->state.store(CombineState::Failed, std::memory_order_release);
-                continue;
-            }
-            snap_retain(leaf, se);
-            for (unsigned j = n; j > pos; --j) {
-                leaf->template key_move<Access>(j, j - 1);
-            }
-            leaf->template key_store<Access>(pos, k);
-            leaf->num_elements.store(n + 1);
-            ++resolved;
-            e->state.store(CombineState::Inserted, std::memory_order_release);
-        }
-        if (!lock_released) leaf->lock.end_write();
-        return resolved;
     }
 
     // -- node splitting -------------------------------------------------------
@@ -2752,12 +2431,6 @@ private:
     /// Epoch/snapshot state; empty (zero-size) unless WithSnapshots. Mutable
     /// because pinning a snapshot from a const tree bumps the pin counter.
     [[no_unique_address]] mutable SnapStateT snap_;
-    /// Combining threshold + lazily published announce pool; empty unless
-    /// WithCombining. Deliberately NOT transferred by steal(): the knob and
-    /// pool belong to the container object, and between operations every
-    /// announce entry is Empty (each announcer consumes its own entry before
-    /// returning), so no stale leaf pointer ever survives a move.
-    [[no_unique_address]] CombineStateT combine_;
 };
 
 // ---------------------------------------------------------------------------
@@ -2795,15 +2468,13 @@ template <typename Key, typename Compare = ThreeWayComparator<Key>,
           typename Search = detail::DefaultSearch<Key, Compare, BlockSize>>
 using arena_btree_set =
     btree<Key, Compare, BlockSize, Search, ConcurrentAccess, false, false,
-          false, false,
-          ArenaNodeAlloc<Key, BlockSize, ConcurrentAccess>>;
+          false, ArenaNodeAlloc<Key, BlockSize, ConcurrentAccess>>;
 
 template <typename Key, typename Compare = ThreeWayComparator<Key>,
           unsigned BlockSize = detail::default_block_size<Key>(),
           typename Search = detail::DefaultSearch<Key, Compare, BlockSize>>
 using arena_seq_btree_set =
     btree<Key, Compare, BlockSize, Search, SeqAccess, false, false, false,
-          false,
           ArenaNodeAlloc<Key, BlockSize, SeqAccess>>;
 
 /// Snapshot-enabled variants (DESIGN.md §11): the same tree plus the
@@ -2827,24 +2498,6 @@ template <typename Key, typename Compare = ThreeWayComparator<Key>,
 using snapshot_seq_btree_set =
     btree<Key, Compare, BlockSize, Search, SeqAccess, false, true>;
 
-/// Combining-enabled variants (DESIGN.md §14): the same tree plus the
-/// contention-adaptive elimination/combining insert path. The plain aliases
-/// above stay bit-identical to the paper-faithful configuration — their
-/// combining state is an empty member and the adaptive branch folds out.
-template <typename Key, typename Compare = ThreeWayComparator<Key>,
-          unsigned BlockSize = detail::default_block_size<Key>(),
-          typename Search = detail::DefaultSearch<Key, Compare, BlockSize>>
-using combine_btree_set =
-    btree<Key, Compare, BlockSize, Search, ConcurrentAccess, false, false,
-          true>;
-
-template <typename Key, typename Compare = ThreeWayComparator<Key>,
-          unsigned BlockSize = detail::default_block_size<Key>(),
-          typename Search = detail::DefaultSearch<Key, Compare, BlockSize>>
-using combine_btree_multiset =
-    btree<Key, Compare, BlockSize, Search, ConcurrentAccess, true, false,
-          true>;
-
 /// Leaf-layout-v2 variants (DESIGN.md §15): per-leaf fingerprint arrays
 /// answering membership with SIMD byte compares, plus append-zone inserts
 /// that never shift elements. The plain aliases above stay bit-identical to
@@ -2855,43 +2508,34 @@ template <typename Key, typename Compare = ThreeWayComparator<Key>,
           typename Search = detail::DefaultSearch<Key, Compare, BlockSize>>
 using fp_btree_set =
     btree<Key, Compare, BlockSize, Search, ConcurrentAccess, false, false,
-          false, true>;
+          true>;
 
 template <typename Key, typename Compare = ThreeWayComparator<Key>,
           unsigned BlockSize = detail::default_block_size<Key>(),
           typename Search = detail::DefaultSearch<Key, Compare, BlockSize>>
 using fp_btree_multiset =
     btree<Key, Compare, BlockSize, Search, ConcurrentAccess, true, false,
-          false, true>;
+          true>;
 
 template <typename Key, typename Compare = ThreeWayComparator<Key>,
           unsigned BlockSize = detail::default_block_size<Key>(),
           typename Search = detail::DefaultSearch<Key, Compare, BlockSize>>
 using fp_seq_btree_set =
-    btree<Key, Compare, BlockSize, Search, SeqAccess, false, false, false,
-          true>;
+    btree<Key, Compare, BlockSize, Search, SeqAccess, false, false, true>;
 
 template <typename Key, typename Compare = ThreeWayComparator<Key>,
           unsigned BlockSize = detail::default_block_size<Key>(),
           typename Search = detail::DefaultSearch<Key, Compare, BlockSize>>
 using fp_seq_btree_multiset =
-    btree<Key, Compare, BlockSize, Search, SeqAccess, true, false, false,
-          true>;
+    btree<Key, Compare, BlockSize, Search, SeqAccess, true, false, true>;
 
-/// v2 composed with snapshots / combining (the policy-gating matrix in
-/// DESIGN.md §15; torture-tested in tests/torture_btree_test.cpp).
+/// v2 composed with snapshots (the policy-gating matrix in DESIGN.md §15;
+/// torture-tested in tests/torture_btree_test.cpp).
 template <typename Key, typename Compare = ThreeWayComparator<Key>,
           unsigned BlockSize = detail::default_block_size<Key>(),
           typename Search = detail::DefaultSearch<Key, Compare, BlockSize>>
 using fp_snapshot_btree_set =
     btree<Key, Compare, BlockSize, Search, ConcurrentAccess, false, true,
-          false, true>;
-
-template <typename Key, typename Compare = ThreeWayComparator<Key>,
-          unsigned BlockSize = detail::default_block_size<Key>(),
-          typename Search = detail::DefaultSearch<Key, Compare, BlockSize>>
-using fp_combine_btree_set =
-    btree<Key, Compare, BlockSize, Search, ConcurrentAccess, false, false,
-          true, true>;
+          true>;
 
 } // namespace dtree

@@ -117,7 +117,7 @@ public:
 
     /// Enters a write phase, blocking (spinning) until granted. This is the
     /// only blocking operation of the lock; it is used by the bottom-up node
-    /// splitting procedure (Alg. 2) and by the hot-leaf combiner (§14).
+    /// splitting procedure (Alg. 2).
     ///
     /// Contended waits use truncated exponential backoff and only attempt the
     /// CAS when the version was observed even: a bare CAS loop keeps the

@@ -12,12 +12,12 @@
 //     reads their keys through SeqAccess: plain loads, no lease. (Counts
 //     and child pointers stay relaxed_value loads, plain moves on x86.)
 //   * Racing reads — insert's own optimistic descent and containment check
-//     (Alg. 1), the combining elision probe, and snapshot reads of live
-//     nodes. They intentionally race writers and discard what they read when
-//     lease validation fails. C++ declares such races undefined behaviour
-//     unless the conflicting accesses are atomic, so (as the paper
-//     describes, following Boehm) these readers and every writer use relaxed
-//     atomic operations through ConcurrentAccess:
+//     (Alg. 1) and snapshot reads of live nodes. They intentionally race
+//     writers and discard what they read when lease validation fails. C++
+//     declares such races undefined behaviour unless the conflicting
+//     accesses are atomic, so (as the paper describes, following Boehm)
+//     these readers and every writer use relaxed atomic operations through
+//     ConcurrentAccess:
 //       - whole-word fields (counts, pointers) are std::atomic<T> behind the
 //         relaxed_value<T> wrapper below;
 //       - key payloads (tuples) stay plain objects in node arrays and are

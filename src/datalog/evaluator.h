@@ -45,7 +45,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -212,19 +211,6 @@ public:
         grain_ = g ? g : runtime::default_grain();
     }
     std::size_t grain() const { return grain_; }
-
-    /// Retry-streak threshold for the contention-adaptive combining path
-    /// (DESIGN.md §14), applied to every relation — including the scratch
-    /// delta/fresh relations created later, which receive the contended
-    /// point inserts of the fixpoint. 0 = every insert adaptive. Only
-    /// meaningful on combining-capable storage (storage::OurBTreeCombine);
-    /// a no-op otherwise so callers can set it unconditionally.
-    void set_combine_threshold(std::uint32_t t) {
-        combine_threshold_ = t;
-        if constexpr (RelationT::combine_capable) {
-            for (auto& rel : relations_) rel->set_combine_threshold(t);
-        }
-    }
 
     /// Runs the program to fixpoint with the given number of threads.
     void run(unsigned threads) {
@@ -661,15 +647,9 @@ private:
 
     std::unique_ptr<RelationT> make_scratch(std::size_t rel) const {
         const auto& d = prog_.decls[rel];
-        auto scratch = std::make_unique<RelationT>(
+        return std::make_unique<RelationT>(
             d.name + "@scratch", static_cast<unsigned>(d.arity()),
             indexes_.relation_indexes[rel]);
-        if constexpr (RelationT::combine_capable) {
-            if (combine_threshold_) {
-                scratch->set_combine_threshold(*combine_threshold_);
-            }
-        }
-        return scratch;
     }
 
     /// Pooled parallel merge of a NEW relation into FULL — the specialised
@@ -983,8 +963,6 @@ private:
     unsigned threads_ = 1;
     runtime::SchedMode mode_ = runtime::default_mode(runtime::SchedMode::Steal);
     std::size_t grain_ = runtime::default_grain();
-    /// Combining threshold to apply to scratch relations (set_combine_threshold).
-    std::optional<std::uint32_t> combine_threshold_;
     std::uint64_t input_tuples_ = 0;
     std::uint64_t iterations_ = 0;
     // Incremental ingestion state: pending batches (sorted, deduplicated,

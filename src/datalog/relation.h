@@ -286,24 +286,6 @@ public:
         return total;
     }
 
-    // -- combining policy (DESIGN.md §14) ------------------------------------
-
-    /// Does the storage expose the contention-adaptive combining knob? True
-    /// for the combining-enabled B-tree adapter (storage::OurBTreeCombine);
-    /// false for every paper-faithful storage.
-    static constexpr bool combine_capable = requires(Storage& s) {
-        s.set_combine_threshold(std::uint32_t{});
-    };
-
-    /// Sets the retry-streak threshold routing inserts onto the adaptive
-    /// elimination/combining path on EVERY index of this relation (0 =
-    /// always adaptive). Takes effect on each worker's next insert.
-    void set_combine_threshold(std::uint32_t t)
-        requires(combine_capable)
-    {
-        for (auto& idx : indexes_) idx->set_combine_threshold(t);
-    }
-
     // -- quiescent reads -----------------------------------------------------
     // Read surface for a QUIESCENT engine (the stdin serve loop between
     // commits, tests): unsynchronised against writers. Concurrent readers —

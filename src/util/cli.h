@@ -1,8 +1,10 @@
 #pragma once
 
 // Tiny flag parser shared by the figure-reproduction benches. Supports
-// --name=value and boolean --name forms; anything unrecognised is reported
-// and ignored so harness scripts stay robust. Numeric accessors are STRICT:
+// --name=value and boolean --name forms. Positional arguments (anything not
+// starting with "--") are reported on stderr and ignored. Every --flag is
+// stored without validation: a flag no accessor asks for, e.g. a misspelt
+// or retired option, is silently ignored. Numeric accessors are STRICT:
 // `--jobs=abc` or an out-of-range value throws std::runtime_error naming the
 // flag instead of silently parsing as 0 / wrapping (strtoull's behaviour) —
 // a long-running serve process must not start with a misread configuration.

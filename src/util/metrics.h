@@ -91,11 +91,6 @@ enum class Counter : unsigned {
     snapshot_pins,       ///< Snapshot handles pinned
     snapshot_cow_images, ///< copy-on-write node images retained
     snapshot_cow_bytes,  ///< bytes served out of the retain arena
-    // core/combine.h (hot-leaf elimination + combining, DESIGN.md §14)
-    combine_elisions,     ///< duplicate inserts answered by the read-only
-                          ///< elimination probe (zero stores, no write lock)
-    combine_batches,      ///< combiner write-lock acquisitions (batch applies)
-    combine_batched_keys, ///< announced keys consumed by combiner batches
     // core/btree_detail.h + core/btree.h leaf layout v2 (DESIGN.md §15)
     fp_probes,           ///< fingerprint membership probes issued (v2 leaves)
     fp_skips,            ///< probes with zero byte candidates (no key loads)
@@ -159,9 +154,6 @@ inline const char* counter_name(Counter c) {
         case Counter::snapshot_pins: return "snapshot_pins";
         case Counter::snapshot_cow_images: return "snapshot_cow_images";
         case Counter::snapshot_cow_bytes: return "snapshot_cow_bytes";
-        case Counter::combine_elisions: return "combine_elisions";
-        case Counter::combine_batches: return "combine_batches";
-        case Counter::combine_batched_keys: return "combine_batched_keys";
         case Counter::fp_probes: return "fp_probes";
         case Counter::fp_skips: return "fp_skips";
         case Counter::fp_false_hits: return "fp_false_hits";

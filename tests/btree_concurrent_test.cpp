@@ -33,6 +33,8 @@ class ConcurrentInsert : public ::testing::TestWithParam<Params> {};
 using SmallTree = dtree::btree_set<std::uint64_t, dtree::ThreeWayComparator<std::uint64_t>, 4>;
 using DefaultTree = dtree::btree_set<std::uint64_t>;
 using TupleTree = dtree::btree_set<Tuple<2>>;
+using SmallMultiset =
+    dtree::btree_multiset<std::uint64_t, dtree::ThreeWayComparator<std::uint64_t>, 4>;
 
 TEST_P(ConcurrentInsert, DisjointRangesAllPresent) {
     const auto [threads, n] = GetParam();
@@ -188,6 +190,74 @@ TEST_P(ConcurrentInsert, PhaseConcurrentTupleReadsMatchOracle) {
         });
     }
     EXPECT_EQ(t.size(), oracle.size());
+}
+
+// Zipfian duplicate storm, no injection: every thread hammers the same few
+// hot keys (s=1.2 over 600 ranks, scattered across leaves) with its own
+// hints, so nearly every insert is a re-derivation racing the writers of the
+// few genuinely new keys on the same leaves. Each distinct key must be
+// reported new exactly once and the tree must equal the std::set oracle.
+TEST_P(ConcurrentInsert, ZipfDuplicateStormMatchesSetOracle) {
+    const auto [threads, n] = GetParam();
+    SmallTree t;
+    const dtree::util::Zipf zipf(600, 1.2);
+    std::vector<std::vector<std::uint64_t>> per_thread(threads);
+    std::set<std::uint64_t> oracle;
+    for (unsigned tid = 0; tid < threads; ++tid) {
+        dtree::util::Rng rng(2000 + tid);
+        for (std::size_t i = 0; i < n / threads; ++i) {
+            const std::uint64_t k = zipf(rng) * 2654435761ull;
+            per_thread[tid].push_back(k);
+            oracle.insert(k);
+        }
+    }
+    std::atomic<std::size_t> wins{0};
+    run_threads(threads, [&](unsigned tid) {
+        auto hints = t.create_hints();
+        std::size_t mine = 0;
+        for (auto v : per_thread[tid]) {
+            if (t.insert(v, hints)) ++mine;
+        }
+        wins.fetch_add(mine);
+    });
+    EXPECT_EQ(wins.load(), oracle.size())
+        << "every distinct key must be reported new exactly once";
+    ASSERT_EQ(t.size(), oracle.size());
+    EXPECT_TRUE(std::equal(t.begin(), t.end(), oracle.begin(), oracle.end()));
+    EXPECT_TRUE(t.check_invariants().empty()) << t.check_invariants();
+}
+
+// The same storm against a multiset: every duplicate lands, so each insert
+// reports a change and the tree must hold every key exactly as many times
+// as the threads issued it.
+TEST_P(ConcurrentInsert, ZipfDuplicateStormMultisetKeepsEveryCopy) {
+    const auto [threads, n] = GetParam();
+    SmallMultiset t;
+    const dtree::util::Zipf zipf(600, 1.2);
+    std::vector<std::vector<std::uint64_t>> per_thread(threads);
+    std::multiset<std::uint64_t> oracle;
+    for (unsigned tid = 0; tid < threads; ++tid) {
+        dtree::util::Rng rng(3000 + tid);
+        for (std::size_t i = 0; i < n / threads; ++i) {
+            const std::uint64_t k = zipf(rng) * 2654435761ull;
+            per_thread[tid].push_back(k);
+            oracle.insert(k);
+        }
+    }
+    std::atomic<std::size_t> wins{0};
+    run_threads(threads, [&](unsigned tid) {
+        auto hints = t.create_hints();
+        std::size_t mine = 0;
+        for (auto v : per_thread[tid]) {
+            if (t.insert(v, hints)) ++mine;
+        }
+        wins.fetch_add(mine);
+    });
+    EXPECT_EQ(wins.load(), oracle.size())
+        << "every multiset insert must report a change";
+    ASSERT_EQ(t.size(), oracle.size());
+    EXPECT_TRUE(std::equal(t.begin(), t.end(), oracle.begin(), oracle.end()));
+    EXPECT_TRUE(t.check_invariants().empty()) << t.check_invariants();
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -346,7 +346,7 @@ using FpTree = dtree::btree<
     Key, ThreeWayComparator<Key>, BlockSize,
     detail::DefaultSearch<Key, ThreeWayComparator<Key>, BlockSize>,
     dtree::ConcurrentAccess, Multi, /*WithSnapshots=*/false,
-    /*WithCombining=*/false, /*WithFingerprints=*/true>;
+    /*WithFingerprints=*/true>;
 
 /// Applies the same inserts to a v1 reference tree and a v2 fingerprint tree
 /// and demands identical observable behaviour: insert verdicts, sizes,

@@ -20,6 +20,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -370,92 +371,6 @@ TEST_F(TortureTest, InjectedSeedSweepBlock3) {
     }
 }
 
-// -- combining torture: the adaptive insert path under injection (§14) --------
-// The combining tree with threshold 0 routes EVERY insert through the
-// elimination probe / combining publisher, so the standard mixed-phase oracle
-// (insert verdicts, membership, scans, invariants) runs entirely against the
-// adaptive protocol while validate_fail breaks its leases, leaf_retry bumps
-// the trigger streaks, and split_delay stretches the combiner's split
-// windows.
-
-template <unsigned B>
-using CombineTree = dtree::combine_btree_set<
-    std::uint64_t, dtree::ThreeWayComparator<std::uint64_t>, B>;
-
-template <unsigned B>
-void run_combine_torture(std::uint64_t seed, bool inject) {
-    if (inject) TortureTest::arm_failpoints(seed);
-    CombineTree<B> tree;
-    tree.set_combine_threshold(0);
-    const auto res = torture_run(tree, TortureTest::options(seed));
-    ASSERT_TRUE(res.ok) << res.failure;
-    EXPECT_GT(res.new_keys, 0u);
-    if (inject) {
-        EXPECT_GT(fail::fires(fail::Site::validate_fail), 0u);
-        EXPECT_GT(fail::fires(fail::Site::leaf_retry), 0u);
-        EXPECT_GT(fail::fires(fail::Site::split_delay), 0u);
-    }
-}
-
-TEST_F(TortureTest, CombineCleanBlock3) { run_combine_torture<3>(1201, false); }
-TEST_F(TortureTest, CombineCleanBlock11) { run_combine_torture<11>(1202, false); }
-TEST_F(TortureTest, CombineInjectedBlock3) { run_combine_torture<3>(1301, true); }
-TEST_F(TortureTest, CombineInjectedBlock4) { run_combine_torture<4>(1302, true); }
-TEST_F(TortureTest, CombineInjectedBlock5) { run_combine_torture<5>(1303, true); }
-
-// Zipfian duplicate storm: the workload the adaptive path exists for. Racing
-// threads re-derive a few hot keys (Zipf s=1.2 over a small universe,
-// scattered so hot keys live in distinct leaves) under full injection; the
-// final contents must equal the set oracle exactly.
-template <unsigned B>
-void run_zipf_storm(std::uint64_t seed, std::uint32_t threshold) {
-    using Key = std::uint64_t;
-    TortureTest::arm_failpoints(seed);
-
-    constexpr unsigned kThreads = 4;
-    constexpr std::size_t kPerThread = 6000;
-    constexpr std::size_t kKeys = 600;
-    dtree::util::Zipf zipf(kKeys, 1.2);
-    std::vector<std::vector<Key>> input(kThreads);
-    std::set<Key> oracle;
-    for (unsigned t = 0; t < kThreads; ++t) {
-        dtree::util::Rng rng(seed * 10 + t);
-        for (std::size_t i = 0; i < kPerThread; ++i) {
-            // Scatter ranks across the key space (injective, so the distinct
-            // count is preserved).
-            const Key k = static_cast<Key>(zipf(rng)) * 2654435761ull;
-            input[t].push_back(k);
-            oracle.insert(k);
-        }
-    }
-
-    CombineTree<B> tree;
-    tree.set_combine_threshold(threshold);
-    dtree::util::parallel_blocks(
-        kThreads, kThreads, [&](unsigned tid, std::size_t, std::size_t) {
-            auto h = tree.create_hints();
-            for (Key k : input[tid]) tree.insert(k, h);
-        });
-
-    EXPECT_GT(fail::fires(fail::Site::validate_fail), 0u);
-    EXPECT_GT(fail::fires(fail::Site::leaf_retry), 0u);
-    const std::string err = tree.check_invariants();
-    ASSERT_TRUE(err.empty()) << err;
-    std::vector<Key> got(tree.begin(), tree.end());
-    std::vector<Key> want(oracle.begin(), oracle.end());
-    ASSERT_EQ(got, want)
-        << "zipf duplicate storm diverged from the set oracle";
-}
-
-// threshold 0: every insert adaptive; threshold 2 (the default): the trigger
-// heuristic decides per thread, and injected leaf retries keep flipping
-// threads between the optimistic and adaptive protocols mid-storm.
-TEST_F(TortureTest, CombineZipfStormInjectedBlock3) { run_zipf_storm<3>(1401, 0); }
-TEST_F(TortureTest, CombineZipfStormInjectedBlock5) { run_zipf_storm<5>(1402, 0); }
-TEST_F(TortureTest, CombineZipfStormInjectedDefaultTrigger) {
-    run_zipf_storm<4>(1403, 2);
-}
-
 // -- leaf layout v2 torture (WithFingerprints, DESIGN.md §15) -----------------
 // The mixed-phase oracle against fingerprint leaves: membership probes run
 // the byte-compare fast path (racy vector loads inside the optimistic
@@ -590,6 +505,127 @@ TEST_F(TortureTest, SnapshotCleanBlock11) { run_snapshot_torture<11>(1002, false
 TEST_F(TortureTest, SnapshotInjectedBlock3) { run_snapshot_torture<3>(1101, true); }
 TEST_F(TortureTest, SnapshotInjectedBlock4) { run_snapshot_torture<4>(1102, true); }
 TEST_F(TortureTest, SnapshotInjectedBlock5) { run_snapshot_torture<5>(1103, true); }
+
+// -- Zipfian duplicate storms --------------------------------------------------
+// Racing threads re-derive a few hot keys (Zipf s=1.2 over a 600-key
+// universe, scattered so hot keys live in distinct leaves) under full
+// injection: most inserts find their key already present while injected
+// lease failures and lost upgrades keep knocking writers off the hot leaves.
+// Set trees must end with exactly the distinct keys and report each as new
+// exactly once; multisets must keep every duplicate, so their oracle is the
+// per-key input count. Snapshot trees tick the epoch mid-storm, so hot-leaf
+// writes also take the copy-on-write retention path.
+
+template <typename TreeT>
+void run_zipf_storm(std::uint64_t seed) {
+    using Key = std::uint64_t;
+    TortureTest::arm_failpoints(seed);
+
+    constexpr unsigned kThreads = 4;
+    constexpr std::size_t kPerThread = 6000;
+    constexpr std::size_t kKeys = 600;
+    dtree::util::Zipf zipf(kKeys, 1.2);
+    std::vector<std::vector<Key>> input(kThreads);
+    std::map<Key, std::size_t> oracle; // key -> number of inserts issued
+    for (unsigned t = 0; t < kThreads; ++t) {
+        dtree::util::Rng rng(seed * 10 + t);
+        for (std::size_t i = 0; i < kPerThread; ++i) {
+            // Scatter ranks across the key space (injective, so the distinct
+            // count is preserved).
+            const Key k = static_cast<Key>(zipf(rng)) * 2654435761ull;
+            input[t].push_back(k);
+            ++oracle[k];
+        }
+    }
+
+    TreeT tree;
+    std::atomic<std::size_t> changed{0};
+    dtree::util::parallel_blocks(
+        kThreads, kThreads, [&](unsigned tid, std::size_t, std::size_t) {
+            auto h = tree.create_hints();
+            std::size_t mine = 0;
+            for (std::size_t i = 0; i < input[tid].size(); ++i) {
+                if (tree.insert(input[tid][i], h)) ++mine;
+                if constexpr (TreeT::with_snapshots) {
+                    if (tid == 0 && i % 256 == 255) tree.advance_epoch();
+                }
+            }
+            changed.fetch_add(mine);
+        });
+
+    EXPECT_GT(fail::fires(fail::Site::validate_fail), 0u);
+    EXPECT_GT(fail::fires(fail::Site::leaf_retry), 0u);
+    const std::string err = tree.check_invariants();
+    ASSERT_TRUE(err.empty()) << err;
+    std::vector<Key> want;
+    for (const auto& [k, count] : oracle) {
+        want.insert(want.end(), TreeT::allow_duplicates ? count : 1, k);
+    }
+    EXPECT_EQ(changed.load(), want.size())
+        << "insert verdicts disagree with the oracle";
+    std::vector<Key> got(tree.begin(), tree.end());
+    ASSERT_EQ(got, want) << "zipf duplicate storm diverged from the oracle";
+    if constexpr (TreeT::with_snapshots) {
+        EXPECT_GT(tree.snap_stats().cow_images, 0u)
+            << "no hot-leaf write ever retained a CoW image";
+    }
+}
+
+template <unsigned B>
+using MultisetTree = dtree::btree_multiset<
+    std::uint64_t, dtree::ThreeWayComparator<std::uint64_t>, B>;
+template <unsigned B>
+using FpMultisetTree = dtree::fp_btree_multiset<
+    std::uint64_t, dtree::ThreeWayComparator<std::uint64_t>, B>;
+template <unsigned B>
+using SnapMultisetTree = dtree::snapshot_btree_multiset<
+    std::uint64_t, dtree::ThreeWayComparator<std::uint64_t>, B>;
+template <unsigned B>
+using FpSnapTree = dtree::fp_snapshot_btree_set<
+    std::uint64_t, dtree::ThreeWayComparator<std::uint64_t>, B>;
+
+TEST_F(TortureTest, ZipfStormInjectedBlock3) { run_zipf_storm<Tree<3>>(1401); }
+TEST_F(TortureTest, ZipfStormInjectedBlock4) { run_zipf_storm<Tree<4>>(1402); }
+TEST_F(TortureTest, ZipfStormInjectedBlock5) { run_zipf_storm<Tree<5>>(1403); }
+TEST_F(TortureTest, FpZipfStormInjectedBlock3) {
+    run_zipf_storm<FpTortureTree<3>>(1411);
+}
+TEST_F(TortureTest, FpZipfStormInjectedBlock5) {
+    run_zipf_storm<FpTortureTree<5>>(1412);
+}
+TEST_F(TortureTest, SnapshotZipfStormInjectedBlock3) {
+    run_zipf_storm<SnapTree<3>>(1421);
+}
+TEST_F(TortureTest, SnapshotZipfStormInjectedBlock4) {
+    run_zipf_storm<SnapTree<4>>(1422);
+}
+TEST_F(TortureTest, SnapshotZipfStormInjectedBlock5) {
+    run_zipf_storm<SnapTree<5>>(1423);
+}
+TEST_F(TortureTest, SnapshotMultisetZipfStormInjectedBlock3) {
+    run_zipf_storm<SnapMultisetTree<3>>(1451);
+}
+TEST_F(TortureTest, SnapshotMultisetZipfStormInjectedBlock4) {
+    run_zipf_storm<SnapMultisetTree<4>>(1452);
+}
+TEST_F(TortureTest, FpSnapshotZipfStormInjectedBlock3) {
+    run_zipf_storm<FpSnapTree<3>>(1461);
+}
+TEST_F(TortureTest, MultisetZipfStormInjectedBlock3) {
+    run_zipf_storm<MultisetTree<3>>(1431);
+}
+TEST_F(TortureTest, MultisetZipfStormInjectedBlock4) {
+    run_zipf_storm<MultisetTree<4>>(1432);
+}
+TEST_F(TortureTest, MultisetZipfStormInjectedBlock5) {
+    run_zipf_storm<MultisetTree<5>>(1433);
+}
+TEST_F(TortureTest, FpMultisetZipfStormInjectedBlock3) {
+    run_zipf_storm<FpMultisetTree<3>>(1441);
+}
+TEST_F(TortureTest, FpMultisetZipfStormInjectedBlock5) {
+    run_zipf_storm<FpMultisetTree<5>>(1442);
+}
 
 // -- harness sensitivity: a broken tree MUST be caught ----------------------
 
