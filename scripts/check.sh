@@ -33,13 +33,15 @@ RUN_ASAN=1
 # commits batches. net_server_test is the wire-protocol counterpart: reader
 # threads answer snapshot queries over real sockets while the single writer
 # thread group-commits, including a mid-traffic SIGTERM drain — exactly the
-# interleavings TSan/ASan exist to check.
+# interleavings TSan/ASan exist to check. btree_basic_test's typed suite runs
+# clear / destructor / move on plain, fingerprint and snapshot trees, so ASan
+# (detect_leaks) sees every path that frees nodes.
 CONC_TARGETS=(torture_btree_test optimistic_lock_test btree_concurrent_test
               btree_smallnode_test hints_test runtime_scheduler_test
               btree_bulk_merge_test btree_search_test btree_snapshot_test
-              datalog_ingest_test net_server_test)
+              datalog_ingest_test net_server_test btree_basic_test)
 # ctest -R filter matching exactly the tests those targets register.
-CONC_FILTER='Torture|OptimisticLock|AbortWrite|Concurrent|SmallNode|Hint|Scheduler|BulkMerge|FromSorted|SampleSeparators|SearchEquivalence|SearchMetrics|Snapshot|Ingest|NetServer'
+CONC_FILTER='Torture|OptimisticLock|AbortWrite|Concurrent|SmallNode|Hint|Scheduler|BulkMerge|FromSorted|SampleSeparators|SearchEquivalence|SearchMetrics|Snapshot|Ingest|NetServer|BTreeBasic'
 # The TSan leg doubles as the scalar-fallback proof for the fingerprint
 # kernel of leaf layout v2 (DESIGN.md §15): TSan builds force
 # DTREE_SIMD_VECTOR off (src/core/race_access.h), so the Fp* equivalence and

@@ -40,9 +40,9 @@
 #include "core/btree_detail.h"
 #include "core/comparator.h"
 #include "core/hints.h"
-#include "core/node_allocator.h"
 #include "core/optimistic_lock.h"
 #include "core/race_access.h"
+#include "core/retain_arena.h"
 #include "util/failpoint.h"
 #include "util/metrics.h"
 
@@ -107,9 +107,7 @@ template <typename Key,
           typename Access = ConcurrentAccess,
           bool AllowDuplicates = false,
           bool WithSnapshots = false,
-          bool WithFingerprints = false,
-          typename Alloc = NewDeleteNodeAlloc<Key, BlockSize, Access,
-                                              WithSnapshots, WithFingerprints>>
+          bool WithFingerprints = false>
 class btree {
     static_assert(BlockSize >= 3, "nodes must hold at least three keys");
     static_assert(!WithFingerprints ||
@@ -127,16 +125,6 @@ class btree {
     using InnerImageT = typename NodeT::SnapInnerImageT;
     using SnapStateT =
         detail::SnapTreeState<NodeT, Access::concurrent, WithSnapshots>;
-    // Snapshot retention frees detached subtrees with detail::free_subtree
-    // (per-node delete); arena-style allocators would need chunk adoption on
-    // steal() instead, which nothing needs yet.
-    static_assert(!WithSnapshots ||
-                      std::is_same_v<Alloc, NewDeleteNodeAlloc<
-                                                Key, BlockSize, Access,
-                                                WithSnapshots,
-                                                WithFingerprints>>,
-                  "snapshot-enabled trees require the default new/delete "
-                  "node allocator");
 
 public:
     using key_type = Key;
@@ -208,7 +196,7 @@ public:
 
     ~btree() {
         release_snapshot_state();
-        alloc_.release(root_.load());
+        detail::free_subtree(root_.load());
     }
 
     /// Removes all elements and frees all nodes. NOT thread-safe; every hint
@@ -218,7 +206,7 @@ public:
     /// same lifetime contract hints already have).
     void clear() {
         release_snapshot_state();
-        alloc_.release(root_.load());
+        detail::free_subtree(root_.load());
         root_.store(nullptr);
     }
 
@@ -395,7 +383,7 @@ private:
                         std::uint64_t snap_e) {
         if (depth == 0) {
             assert(s >= 1 && s <= BlockSize);
-            NodeT* leaf = alloc_.make_leaf();
+            NodeT* leaf = make_leaf();
             for (std::size_t i = 0; i < s; ++i, ++it) {
                 leaf->template key_store<SeqAccess>(static_cast<unsigned>(i), *it);
             }
@@ -410,7 +398,7 @@ private:
         const std::size_t c =
             std::max<std::size_t>(2, (s + 1 + child_cap) / (child_cap + 1));
         assert(c <= BlockSize + 1);
-        InnerT* node = alloc_.make_inner();
+        InnerT* node = make_inner();
         const std::size_t r = s - (c - 1); // keys going into the children
         for (std::size_t i = 0; i < c; ++i) {
             const std::size_t share = r / c + (i < r % c ? 1 : 0);
@@ -1130,7 +1118,7 @@ private:
     bool insert_sequential_from(const Key& k, operation_hints& hints, NodeT* start) {
         NodeT* cur = root_.load();
         if (!cur) {
-            NodeT* leaf = alloc_.make_leaf();
+            NodeT* leaf = make_leaf();
             leaf->template key_store<SeqAccess>(0, k);
             leaf->num_elements.store(1);
             fp_reset_leaf(leaf);
@@ -1208,7 +1196,7 @@ private:
                 continue;
             }
             if (root_.load() == nullptr) {
-                NodeT* leaf = alloc_.make_leaf();
+                NodeT* leaf = make_leaf();
                 // Unpublished: plain stores are fine.
                 leaf->template key_store<SeqAccess>(0, k);
                 leaf->num_elements.store(1);
@@ -1498,8 +1486,8 @@ private:
         snap_retain(node, snap_e);
         const Key median = node->keys[mid]; // we are the only writer: plain read
 
-        NodeT* sibling = node->inner ? static_cast<NodeT*>(alloc_.make_inner())
-                                     : alloc_.make_leaf();
+        NodeT* sibling = node->inner ? static_cast<NodeT*>(make_inner())
+                                     : make_leaf();
         snap_mark_fresh(sibling, snap_e);
         // A fresh *inner* sibling becomes reachable before this split
         // finishes: the rehoming loop below publishes it through its
@@ -1549,7 +1537,7 @@ private:
         if (!parent) {
             // node was the root: grow the tree (root lock is held /
             // sequential mode has exclusive access anyway).
-            InnerT* new_root = alloc_.make_inner();
+            InnerT* new_root = make_inner();
             snap_mark_fresh(new_root, snap_e);
             new_root->template key_store<SeqAccess>(0, median);
             new_root->children[0].store(node);
@@ -1710,7 +1698,7 @@ private:
             root_lock_.abort_write(); // lost the race; nothing modified
             return first;
         }
-        NodeT* leaf = alloc_.make_leaf(); // unpublished: plain stores are fine
+        NodeT* leaf = make_leaf(); // unpublished: plain stores are fine
         unsigned nb = 0;
         std::size_t consumed = 0;
         Key prev{};
@@ -1872,7 +1860,7 @@ private:
                         std::size_t& inserted) {
         NodeT* cur = root_.load();
         if (!cur) {
-            NodeT* leaf = alloc_.make_leaf();
+            NodeT* leaf = make_leaf();
             unsigned nb = 0;
             std::size_t consumed = 0;
             Key prev{};
@@ -1952,6 +1940,18 @@ private:
     }
 
     // -- helpers --------------------------------------------------------------
+
+    /// Node allocation. Nodes are freed only wholesale, by
+    /// detail::free_subtree from clear()/the destructor (or when a retired
+    /// snapshot subtree is dropped).
+    NodeT* make_leaf() {
+        DTREE_METRIC_INC(alloc_leaf_nodes);
+        return new NodeT(/*is_inner=*/false);
+    }
+    InnerT* make_inner() {
+        DTREE_METRIC_INC(alloc_inner_nodes);
+        return new InnerT();
+    }
 
     /// Does the (leaf) node's current key range contain k? Racing callers
     /// (A = Access) must validate the node's lease afterwards; phase reads
@@ -2417,7 +2417,6 @@ private:
             root_.store(other.root_.load());
             other.root_.store(nullptr);
         }
-        alloc_ = std::move(other.alloc_);
     }
 
     // -- state ---------------------------------------------------------------
@@ -2427,7 +2426,6 @@ private:
     relaxed_value<NodeT*, concurrent> root_{nullptr};
     OptimisticReadWriteLock root_lock_;
     [[no_unique_address]] Compare comp_;
-    [[no_unique_address]] Alloc alloc_;
     /// Epoch/snapshot state; empty (zero-size) unless WithSnapshots. Mutable
     /// because pinning a snapshot from a const tree bumps the pin counter.
     [[no_unique_address]] mutable SnapStateT snap_;
@@ -2460,22 +2458,6 @@ template <typename Key, typename Compare = ThreeWayComparator<Key>,
           unsigned BlockSize = detail::default_block_size<Key>(),
           typename Search = detail::DefaultSearch<Key, Compare, BlockSize>>
 using seq_btree_multiset = btree<Key, Compare, BlockSize, Search, SeqAccess, true>;
-
-/// Arena-allocated variant: node allocation is a bump pointer, release is
-/// wholesale (see node_allocator.h; bench/ablation_allocator).
-template <typename Key, typename Compare = ThreeWayComparator<Key>,
-          unsigned BlockSize = detail::default_block_size<Key>(),
-          typename Search = detail::DefaultSearch<Key, Compare, BlockSize>>
-using arena_btree_set =
-    btree<Key, Compare, BlockSize, Search, ConcurrentAccess, false, false,
-          false, ArenaNodeAlloc<Key, BlockSize, ConcurrentAccess>>;
-
-template <typename Key, typename Compare = ThreeWayComparator<Key>,
-          unsigned BlockSize = detail::default_block_size<Key>(),
-          typename Search = detail::DefaultSearch<Key, Compare, BlockSize>>
-using arena_seq_btree_set =
-    btree<Key, Compare, BlockSize, Search, SeqAccess, false, false, false,
-          ArenaNodeAlloc<Key, BlockSize, SeqAccess>>;
 
 /// Snapshot-enabled variants (DESIGN.md §11): the same tree plus the
 /// epoch/Snapshot API. The plain aliases above stay bit-identical to the
@@ -2516,18 +2498,6 @@ template <typename Key, typename Compare = ThreeWayComparator<Key>,
 using fp_btree_multiset =
     btree<Key, Compare, BlockSize, Search, ConcurrentAccess, true, false,
           true>;
-
-template <typename Key, typename Compare = ThreeWayComparator<Key>,
-          unsigned BlockSize = detail::default_block_size<Key>(),
-          typename Search = detail::DefaultSearch<Key, Compare, BlockSize>>
-using fp_seq_btree_set =
-    btree<Key, Compare, BlockSize, Search, SeqAccess, false, false, true>;
-
-template <typename Key, typename Compare = ThreeWayComparator<Key>,
-          unsigned BlockSize = detail::default_block_size<Key>(),
-          typename Search = detail::DefaultSearch<Key, Compare, BlockSize>>
-using fp_seq_btree_multiset =
-    btree<Key, Compare, BlockSize, Search, SeqAccess, true, false, true>;
 
 /// v2 composed with snapshots (the policy-gating matrix in DESIGN.md §15;
 /// torture-tested in tests/torture_btree_test.cpp).

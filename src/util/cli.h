@@ -10,7 +10,7 @@
 // a long-running serve process must not start with a misread configuration.
 
 #include <cstdint>
-#include <cstdlib>
+#include <cstddef>
 #include <iostream>
 #include <limits>
 #include <map>
@@ -51,12 +51,6 @@ public:
         auto it = flags_.find(name);
         if (it == flags_.end()) return def;
         return parse_u64(name, it->second);
-    }
-
-    double get_double(const std::string& name, double def) const {
-        auto it = flags_.find(name);
-        if (it == flags_.end()) return def;
-        return std::strtod(it->second.c_str(), nullptr);
     }
 
     std::string get_str(const std::string& name, std::string def) const {

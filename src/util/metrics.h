@@ -55,11 +55,8 @@ enum class Counter : unsigned {
     btree_root_replacements,  ///< tree grew a level (new root published)
     btree_bulk_runs,          ///< insert_sorted_run calls (sorted bulk merges)
     btree_bulk_keys,          ///< keys consumed by bulk leaf fills (incl. dups)
-    // core/node_allocator.h
-    alloc_leaf_nodes,  ///< leaf nodes allocated (any policy)
-    alloc_inner_nodes, ///< inner nodes allocated (any policy)
-    arena_chunks,      ///< arena chunks reserved
-    arena_bytes,       ///< bytes served out of arena chunks
+    alloc_leaf_nodes,         ///< leaf nodes allocated
+    alloc_inner_nodes,        ///< inner nodes allocated
     // core/hints.h (HintStats mirrors its per-object tallies here)
     hint_hits_insert,
     hint_hits_contains,
@@ -126,8 +123,6 @@ inline const char* counter_name(Counter c) {
         case Counter::btree_bulk_keys: return "btree_bulk_keys";
         case Counter::alloc_leaf_nodes: return "alloc_leaf_nodes";
         case Counter::alloc_inner_nodes: return "alloc_inner_nodes";
-        case Counter::arena_chunks: return "arena_chunks";
-        case Counter::arena_bytes: return "arena_bytes";
         case Counter::hint_hits_insert: return "hint_hits_insert";
         case Counter::hint_hits_contains: return "hint_hits_contains";
         case Counter::hint_hits_lower: return "hint_hits_lower";

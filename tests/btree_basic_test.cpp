@@ -1,6 +1,8 @@
 // Basic single-threaded behaviour of the specialized B-tree: STL-set-like
-// semantics for insert / find / bounds / iteration, exercised for both the
-// concurrent and the sequential instantiation via typed tests.
+// semantics for insert / find / bounds / iteration, exercised via typed
+// tests for the concurrent and the sequential instantiation, and for the
+// fingerprint (leaf layout v2) and snapshot trees, whose clear / destructor /
+// move paths free nodes the same way.
 
 #include "core/btree.h"
 #include "core/tuple.h"
@@ -30,7 +32,10 @@ using Configs = ::testing::Types<
                      dtree::detail::LinearSearch>,
     dtree::btree_set<Tuple<2>>,
     dtree::seq_btree_set<Tuple<2>>,
-    dtree::btree_set<Tuple<2>, dtree::ThreeWayComparator<Tuple<2>>, 4>>;
+    dtree::btree_set<Tuple<2>, dtree::ThreeWayComparator<Tuple<2>>, 4>,
+    dtree::fp_btree_set<std::uint64_t>,
+    dtree::snapshot_btree_set<std::uint64_t>,
+    dtree::fp_snapshot_btree_set<Tuple<2>>>;
 
 TYPED_TEST_SUITE(BTreeBasicTest, Configs);
 

@@ -1,6 +1,6 @@
 // Property-based differential tests: the B-tree must behave exactly like
 // std::set / std::multiset under long random operation sequences, across
-// block sizes, search policies, access modes, allocators and workload
+// block sizes, search policies, access modes, leaf layouts and workload
 // patterns — with structural invariants checked along the way. These
 // parameterised sweeps are the backbone of the suite's confidence.
 
@@ -158,8 +158,8 @@ TEST_P(SetDifferential, LinearSearchPolicy) {
                                           dtree::detail::LinearSearch>>(GetParam());
 }
 
-TEST_P(SetDifferential, ArenaAllocator) {
-    run_set_differential<dtree::arena_btree_set<std::uint64_t>>(GetParam());
+TEST_P(SetDifferential, Fingerprints) {
+    run_set_differential<dtree::fp_btree_set<std::uint64_t>>(GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(Patterns, SetDifferential, kAllCases, case_name);

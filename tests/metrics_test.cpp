@@ -78,16 +78,16 @@ TEST(Metrics, CompiledInAndCountable) {
     ASSERT_TRUE(metrics::enabled());
     metrics::reset();
     metrics::inc(Counter::btree_restarts);
-    metrics::add(Counter::arena_bytes, 100);
-    metrics::add(Counter::arena_bytes, 23);
+    metrics::add(Counter::btree_bulk_keys, 100);
+    metrics::add(Counter::btree_bulk_keys, 23);
     EXPECT_EQ(metrics::value(Counter::btree_restarts), 1u);
-    EXPECT_EQ(metrics::value(Counter::arena_bytes), 123u);
+    EXPECT_EQ(metrics::value(Counter::btree_bulk_keys), 123u);
     const auto snap = metrics::snapshot();
     EXPECT_EQ(snap[Counter::btree_restarts], 1u);
-    EXPECT_EQ(snap[Counter::arena_bytes], 123u);
+    EXPECT_EQ(snap[Counter::btree_bulk_keys], 123u);
     EXPECT_EQ(snap[Counter::lock_write_spins], 0u);
     metrics::reset();
-    EXPECT_EQ(metrics::value(Counter::arena_bytes), 0u);
+    EXPECT_EQ(metrics::value(Counter::btree_bulk_keys), 0u);
 }
 
 TEST(Metrics, CounterNamesAreUniqueAndNamed) {
@@ -174,17 +174,6 @@ TEST(Metrics, BTreeSplitsAreCounted) {
     EXPECT_GT(metrics::value(Counter::hint_hits_insert) +
                   metrics::value(Counter::hint_misses_insert),
               0u);
-    metrics::reset();
-}
-
-// The arena allocator reports chunk reservations and bytes served.
-TEST(Metrics, ArenaAllocationIsCounted) {
-    metrics::reset();
-    dtree::arena_btree_set<std::uint64_t> t;
-    auto h = t.create_hints();
-    for (std::uint64_t i = 0; i < 1000; ++i) t.insert(i, h);
-    EXPECT_GT(metrics::value(Counter::arena_chunks), 0u);
-    EXPECT_GT(metrics::value(Counter::arena_bytes), 0u);
     metrics::reset();
 }
 

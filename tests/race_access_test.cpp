@@ -1,18 +1,15 @@
-// Tests for the seqlock-safe data access layer (race_access.h) and the
-// arena node allocator (node_allocator.h).
+// Tests for the seqlock-safe data access layer (race_access.h).
 
-#include "core/btree.h"
 #include "core/comparator.h"
 #include "core/race_access.h"
 #include "core/tuple.h"
-#include "util/parallel.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <functional>
 #include <limits>
-#include <set>
+#include <thread>
 #include <vector>
 
 namespace {
@@ -152,65 +149,6 @@ TEST(RaceAccess, NonLexicographicCompareTakesFullLoad) {
     EXPECT_GT(ConcurrentAccess::compare(Desc{}, Tuple<3>{1, 0, 0},
                                         Tuple<3>{2, 0, 0}),
               0);
-}
-
-// -- arena allocator -------------------------------------------------------------
-
-TEST(ArenaAllocator, TreeMatchesReference) {
-    dtree::arena_btree_set<std::uint64_t> t;
-    std::set<std::uint64_t> ref;
-    for (std::uint64_t i = 0; i < 50000; ++i) {
-        const auto v = (i * 7919) % 60000;
-        EXPECT_EQ(t.insert(v), ref.insert(v).second);
-    }
-    EXPECT_EQ(t.size(), ref.size());
-    EXPECT_TRUE(std::equal(t.begin(), t.end(), ref.begin(), ref.end()));
-    EXPECT_EQ(t.check_invariants(), "");
-}
-
-TEST(ArenaAllocator, ClearReleasesAndTreeIsReusable) {
-    dtree::arena_btree_set<std::uint64_t> t;
-    for (std::uint64_t i = 0; i < 10000; ++i) t.insert(i);
-    t.clear();
-    EXPECT_TRUE(t.empty());
-    for (std::uint64_t i = 0; i < 10000; ++i) EXPECT_TRUE(t.insert(i));
-    EXPECT_EQ(t.size(), 10000u);
-    EXPECT_EQ(t.check_invariants(), "");
-}
-
-TEST(ArenaAllocator, MoveTransfersArenaOwnership) {
-    dtree::arena_btree_set<std::uint64_t> a;
-    for (std::uint64_t i = 0; i < 5000; ++i) a.insert(i);
-    dtree::arena_btree_set<std::uint64_t> b(std::move(a));
-    EXPECT_EQ(b.size(), 5000u);
-    EXPECT_TRUE(b.contains(4999));
-    EXPECT_EQ(b.check_invariants(), "");
-    // The moved-from tree is empty and must be usable without touching b's
-    // nodes.
-    EXPECT_TRUE(a.empty()); // NOLINT(bugprone-use-after-move)
-    a.insert(1);
-    EXPECT_EQ(a.size(), 1u);
-    EXPECT_EQ(b.size(), 5000u);
-}
-
-TEST(ArenaAllocator, ConcurrentInsertsAllocateSafely) {
-    dtree::arena_btree_set<std::uint64_t,
-                           dtree::ThreeWayComparator<std::uint64_t>, 4> t;
-    constexpr std::size_t kN = 40000;
-    dtree::util::run_threads(8, [&](unsigned tid) {
-        for (std::size_t i = tid; i < kN; i += 8) {
-            ASSERT_TRUE(t.insert(static_cast<std::uint64_t>(i)));
-        }
-    });
-    EXPECT_EQ(t.size(), kN);
-    EXPECT_EQ(t.check_invariants(), "");
-}
-
-TEST(ArenaAllocator, SequentialVariant) {
-    dtree::arena_seq_btree_set<Tuple<2>> t;
-    for (std::uint64_t i = 0; i < 10000; ++i) t.insert(Tuple<2>{i / 100, i % 100});
-    EXPECT_EQ(t.size(), 10000u);
-    EXPECT_EQ(t.check_invariants(), "");
 }
 
 } // namespace

@@ -95,14 +95,13 @@ TEST(ParallelBlocks, SumsMatchSequential) {
 
 TEST(Cli, ParsesFlagsAndValues) {
     const char* argv[] = {"prog", "--full", "--n=500", "--name=abc",
-                          "--threads=1,2,4", "--rate=0.5"};
-    Cli cli(6, const_cast<char**>(argv));
+                          "--threads=1,2,4"};
+    Cli cli(5, const_cast<char**>(argv));
     EXPECT_TRUE(cli.get_bool("full"));
     EXPECT_FALSE(cli.get_bool("absent"));
     EXPECT_EQ(cli.get_u64("n", 0), 500u);
     EXPECT_EQ(cli.get_u64("absent", 7), 7u);
     EXPECT_EQ(cli.get_str("name", ""), "abc");
-    EXPECT_DOUBLE_EQ(cli.get_double("rate", 0), 0.5);
     const auto threads = cli.get_list("threads", {});
     ASSERT_EQ(threads.size(), 3u);
     EXPECT_EQ(threads[0], 1u);
