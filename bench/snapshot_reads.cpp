@@ -111,6 +111,7 @@ CellResult run_cell(unsigned readers, unsigned writers, std::size_t prefill,
     accum.pins += st.pins;
     accum.cow_images += st.cow_images;
     accum.retained_bytes += st.retained_bytes;
+    accum.cow_bytes += st.cow_bytes;
 
     CellResult res;
     if (!all.empty()) {
@@ -172,11 +173,12 @@ int main(int argc, char** argv) {
     report.add_table(thr);
 
     std::printf("epoch_advances %llu, snapshot_pins %llu, cow_images %llu, "
-                "retained %llu bytes\n",
+                "retained %llu bytes live of %llu made\n",
                 static_cast<unsigned long long>(accum.advances),
                 static_cast<unsigned long long>(accum.pins),
                 static_cast<unsigned long long>(accum.cow_images),
-                static_cast<unsigned long long>(accum.retained_bytes));
+                static_cast<unsigned long long>(accum.retained_bytes),
+                static_cast<unsigned long long>(accum.cow_bytes));
 
     report.add_section("snapshot", [&](dtree::json::Writer& jw) {
         jw.begin_object();
@@ -184,6 +186,7 @@ int main(int argc, char** argv) {
         jw.kv("snapshot_pins", accum.pins);
         jw.kv("snapshot_cow_images", accum.cow_images);
         jw.kv("snapshot_retained_bytes", accum.retained_bytes);
+        jw.kv("snapshot_cow_bytes", accum.cow_bytes);
         jw.end_object();
     });
     return report.write() ? 0 : 1;

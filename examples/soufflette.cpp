@@ -521,12 +521,14 @@ int run_soufflette(const std::string& program_path, const dtree::util::Cli& cli,
         }
         if (s.epoch) {
             std::printf("snapshots: epoch %llu, %llu advances, %llu pins, "
-                        "%llu cow images, %llu retained bytes\n",
+                        "%llu cow images, %llu retained bytes live "
+                        "(%llu made)\n",
                         static_cast<unsigned long long>(s.epoch),
                         static_cast<unsigned long long>(s.epoch_advances),
                         static_cast<unsigned long long>(s.snapshot_pins),
                         static_cast<unsigned long long>(s.snapshot_cow_images),
-                        static_cast<unsigned long long>(s.snapshot_retained_bytes));
+                        static_cast<unsigned long long>(s.snapshot_retained_bytes),
+                        static_cast<unsigned long long>(s.snapshot_cow_bytes));
         }
         const auto ps = dtree::runtime::Scheduler::instance().stats();
         std::printf("scheduler: %s (grain %zu), %llu regions, %llu tasks, "

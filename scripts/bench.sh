@@ -22,7 +22,9 @@
 # scheduler at work: pool regions executed, chunks dispatched, and at least
 # one successful steal rebalancing the skewed outer fanout. The snapshot
 # record (reader x writer sweep, BENCH_snapshot.json) must show nonzero
-# snapshot_pins / epoch_advances / retained CoW images, while the fig4 record
+# snapshot_pins / epoch_advances / CoW images, and image reclamation: the
+# live retained bytes left at the end must be below the cumulative CoW
+# bytes (DESIGN.md §11), while the fig4 record
 # doubles as the snapshot-OFF leg: its epoch/snapshot counters must all be
 # zero, proving the default trees never paid for the epoch layer. The serve
 # record (BENCH_serve.json) must show nonzero ingest-batch / refixpoint
@@ -219,6 +221,16 @@ for counter in ("snapshot_pins", "epoch_advances", "snapshot_cow_images"):
     assert snap["snapshot"][counter] == v, \
         f"snapshot section/metrics disagree on {counter}"
     print(f"   snapshot {counter} = {v}")
+# Reclamation: images behind the oldest live pin are freed at every epoch
+# advance, so what is still live at the end of each cell must be less than
+# every byte ever copied. Equality means nothing was ever freed.
+live = snap["snapshot"]["snapshot_retained_bytes"]
+made = snap["snapshot"]["snapshot_cow_bytes"]
+assert made == snap["metrics"].get("snapshot_cow_bytes", 0), \
+    "snapshot section/metrics disagree on snapshot_cow_bytes"
+assert live < made, \
+    f"snapshot images never reclaimed: {live} live of {made} bytes made"
+print(f"   snapshot retained {live} bytes live of {made} made")
 # Snapshot-off leg: fig4 runs the default (non-snapshot) trees, and its
 # record must stay untouched by the epoch layer — the paper-faithful
 # configuration never pins, advances, or retains anything.

@@ -31,6 +31,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
+#include <mutex>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -45,6 +46,7 @@
 #include "core/retain_arena.h"
 #include "util/failpoint.h"
 #include "util/metrics.h"
+#include "util/spinlock.h"
 
 namespace dtree {
 
@@ -60,19 +62,12 @@ struct SnapTreeState {
     /// (nullptr when the tree was empty) and `epoch` the root_mod_epoch it
     /// carried — the entry resolves every snapshot boundary B with
     /// epoch < B <= (next-newer entry's epoch / the live root_mod_epoch).
-    /// Entries chain newest-first and live in `arena` (never freed until
-    /// clear()/destruction).
+    /// Entries chain newest-first and live in `arena`, tagged and reclaimed
+    /// exactly like node images.
     struct RootVersion {
         NodeT* root;
         std::uint64_t epoch;
         RootVersion* next;
-    };
-    /// Former roots detached by move-assignment (steal): unlike the old root
-    /// of a *growth* split — which stays reachable as a child of the new
-    /// root — these subtrees must be freed separately at clear()/destruction.
-    struct DetachedRoot {
-        NodeT* root;
-        DetachedRoot* next;
     };
 
     /// Global epoch; starts at 1. A snapshot pinned at boundary B observes
@@ -86,9 +81,18 @@ struct SnapTreeState {
     relaxed_value<std::uint64_t, Concurrent> root_mod_epoch{};
     /// Newest-first chain of former roots (see RootVersion).
     relaxed_value<RootVersion*, Concurrent> root_versions{};
-    DetachedRoot* detached = nullptr;
-    /// Never-free image storage (also holds RootVersion/DetachedRoot nodes).
+    /// Former roots detached by move-assignment (steal): unlike the old root
+    /// of a *growth* split — which stays reachable as a child of the new
+    /// root — these subtrees must be freed separately at clear()/destruction.
+    std::vector<NodeT*> detached;
+    /// Epoch-tagged image storage (also holds RootVersion entries); chunks
+    /// behind the oldest live pin are freed at every advance.
     RetainArena arena;
+    /// Live Snapshot pins: (boundary, handle count), ascending by boundary.
+    /// Guarded by pin_lock, which also orders pin registration against the
+    /// epoch read of oldest_pin() (DESIGN.md §11).
+    util::Spinlock pin_lock;
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> live_pins;
     // Always-on per-tree stats (metrics.h counters are compile-gated; the
     // soufflette --stats/--profile JSON needs these unconditionally).
     std::atomic<std::uint64_t> advances{0};
@@ -695,13 +699,30 @@ public:
     // the linearization point of all of a snapshot's reads is the epoch
     // advance that created its boundary.
 
-    /// Read-only consistent view pinned at an epoch boundary. Cheap to copy
-    /// (pointer + epoch). Valid until the tree is cleared, move-assigned
-    /// away from, or destroyed — the hint lifetime contract. All methods are
-    /// safe concurrently with insert()/insert_sorted_run() on the tree.
+    /// Read-only consistent view pinned at an epoch boundary. A handle
+    /// registers its boundary with the tree for as long as it lives: copies
+    /// register again, moves transfer, destruction unregisters. The images
+    /// it reads are freed only once no registered boundary needs them.
+    /// Reads are valid until the tree is cleared or move-assigned away
+    /// from; the handle itself must be destroyed before its tree. All
+    /// methods are safe concurrently with insert()/insert_sorted_run() and
+    /// advance_epoch() on the tree.
     class Snapshot {
     public:
         Snapshot() = default;
+        Snapshot(const Snapshot& o) : tree_(o.tree_), boundary_(o.boundary_) {
+            if (tree_) tree_->snap_pin(boundary_);
+        }
+        Snapshot(Snapshot&& o) noexcept
+            : tree_(std::exchange(o.tree_, nullptr)), boundary_(o.boundary_) {}
+        Snapshot& operator=(Snapshot o) noexcept {
+            std::swap(tree_, o.tree_);
+            std::swap(boundary_, o.boundary_);
+            return *this;
+        }
+        ~Snapshot() {
+            if (tree_) tree_->snap_unpin(boundary_);
+        }
 
         bool valid() const { return tree_ != nullptr; }
         /// The pinned boundary: mutations of epochs < epoch() are visible.
@@ -742,6 +763,7 @@ public:
 
     private:
         friend class btree;
+        /// Adopts a registration snap_pin() already made.
         Snapshot(const btree* t, std::uint64_t b) : tree_(t), boundary_(b) {}
 
         const btree* tree_ = nullptr;
@@ -755,12 +777,15 @@ public:
     }
 
     /// Advances the global epoch, making every mutation performed so far
-    /// visible to snapshots pinned afterwards. Thread-safe (any thread may
-    /// advance concurrently with writers and readers); returns the NEW epoch.
+    /// visible to snapshots pinned afterwards, then frees the retained
+    /// images no live or future snapshot can reach. Thread-safe (any thread
+    /// may advance concurrently with writers and readers); returns the NEW
+    /// epoch.
     std::uint64_t advance_epoch() {
         static_assert(WithSnapshots, "advance_epoch(): configure WithSnapshots");
         const std::uint64_t e =
             snap_.epoch.fetch_add(1, std::memory_order_seq_cst) + 1;
+        snap_.arena.reclaim(oldest_pin());
         snap_.advances.fetch_add(1, std::memory_order_relaxed);
         DTREE_METRIC_INC(epoch_advances);
         return e;
@@ -773,7 +798,13 @@ public:
         static_assert(WithSnapshots, "snapshot(): configure WithSnapshots");
         snap_.pins.fetch_add(1, std::memory_order_relaxed);
         DTREE_METRIC_INC(snapshot_pins);
-        return Snapshot(this, snap_.epoch.load(std::memory_order_seq_cst));
+        std::uint64_t b = 0;
+        {
+            std::lock_guard guard(snap_.pin_lock);
+            b = snap_.epoch.load(std::memory_order_seq_cst);
+            snap_register(b);
+        }
+        return Snapshot(this, b);
     }
 
     /// Always-on snapshot/retention stats (soufflette --stats/--profile).
@@ -782,7 +813,8 @@ public:
         std::uint64_t advances = 0;
         std::uint64_t pins = 0;
         std::uint64_t cow_images = 0;
-        std::size_t retained_bytes = 0;
+        std::size_t retained_bytes = 0; ///< live: images not yet reclaimed
+        std::size_t cow_bytes = 0;      ///< cumulative: every image made
     };
 
     snapshot_stats snap_stats() const {
@@ -793,11 +825,53 @@ public:
         s.pins = snap_.pins.load(std::memory_order_relaxed);
         s.cow_images = snap_.cow_images.load(std::memory_order_relaxed);
         s.retained_bytes = snap_.arena.retained_bytes();
+        s.cow_bytes = snap_.arena.cow_bytes();
         return s;
     }
 
 private:
     // -- snapshot machinery (DESIGN.md §11) ----------------------------------
+
+    /// The registry entry for boundary `b`, or where it would go. Caller
+    /// holds pin_lock.
+    auto snap_pin_slot(std::uint64_t b) const {
+        return std::lower_bound(
+            snap_.live_pins.begin(), snap_.live_pins.end(), b,
+            [](const auto& p, std::uint64_t x) { return p.first < x; });
+    }
+
+    /// Counts one more handle at boundary `b`. Caller holds pin_lock.
+    void snap_register(std::uint64_t b) const {
+        const auto it = snap_pin_slot(b);
+        if (it != snap_.live_pins.end() && it->first == b) {
+            ++it->second;
+        } else {
+            snap_.live_pins.insert(it, {b, 1});
+        }
+    }
+
+    /// Registers a further handle at an already pinned boundary (copies).
+    void snap_pin(std::uint64_t b) const {
+        std::lock_guard guard(snap_.pin_lock);
+        snap_register(b);
+    }
+
+    /// The oldest boundary any live or future snapshot can hold: the minimum
+    /// over registered pins and the current epoch. Read under pin_lock, so a
+    /// snapshot() that registers after this call reads an epoch >= the
+    /// returned value.
+    std::uint64_t oldest_pin() const {
+        std::lock_guard guard(snap_.pin_lock);
+        const std::uint64_t e = snap_.epoch.load(std::memory_order_seq_cst);
+        return snap_.live_pins.empty() ? e
+                                       : std::min(e, snap_.live_pins.front().first);
+    }
+
+    void snap_unpin(std::uint64_t b) const {
+        std::lock_guard guard(snap_.pin_lock);
+        const auto it = snap_pin_slot(b);
+        if (--it->second == 0) snap_.live_pins.erase(it);
+    }
 
     /// A reader-private resolved copy of one node's content for boundary B:
     /// either the live content (copied under a validated lease) or a
@@ -999,37 +1073,43 @@ private:
     /// access to `node` (write lock held / sequential) and the operation
     /// epoch `e` from snap_epoch_now(). If the node's last modification
     /// predates `e`, its pre-mutation content is captured into an immutable
-    /// image (retained forever) BEFORE the caller modifies it; at most one
-    /// image per node per epoch.
+    /// image BEFORE the caller modifies it; at most one image per node per
+    /// epoch. The image is tagged `e`: it serves boundaries (m, e], and its
+    /// arena chunk is freed once the oldest pin passes `e`.
     void snap_retain(NodeT* node, std::uint64_t e) {
         if constexpr (WithSnapshots) {
             const std::uint64_t m = node->snap.mod_epoch.load();
             if (m >= e) return; // already touched this epoch
             const unsigned n = node->num_elements.load();
+            auto fill = [&](ImageT& img) {
+                img.epoch = m;
+                img.n = n;
+                img.inner = node->inner;
+                for (unsigned i = 0; i < n; ++i) img.keys[i] = node->keys[i];
+                // v2 leaves retain the MERGED (sorted) image: snapshot
+                // readers binary-search images, and the logical content is
+                // unchanged.
+                if constexpr (WithFingerprints) {
+                    if (!node->inner) {
+                        const unsigned s = node->fp_sorted();
+                        if (s < n) sort_tail(img.keys, s, n);
+                    }
+                }
+                img.next = node->snap.versions.load();
+            };
             ImageT* img;
             if (node->inner) {
-                auto* iimg = snap_.arena.template make<InnerImageT>();
-                const InnerT* in = node->as_inner();
-                for (unsigned i = 0; i <= n; ++i) {
-                    iimg->children[i] = in->children[i].load();
-                }
-                img = iimg;
+                img = snap_.arena.template make<InnerImageT>(
+                    e, [&](InnerImageT& iimg) {
+                        const InnerT* in = node->as_inner();
+                        for (unsigned i = 0; i <= n; ++i) {
+                            iimg.children[i] = in->children[i].load();
+                        }
+                        fill(iimg);
+                    });
             } else {
-                img = snap_.arena.template make<ImageT>();
+                img = snap_.arena.template make<ImageT>(e, fill);
             }
-            img->epoch = m;
-            img->n = n;
-            img->inner = node->inner;
-            for (unsigned i = 0; i < n; ++i) img->keys[i] = node->keys[i];
-            // v2 leaves retain the MERGED (sorted) image: snapshot readers
-            // binary-search images, and the logical content is unchanged.
-            if constexpr (WithFingerprints) {
-                if (!node->inner) {
-                    const unsigned s = node->fp_sorted();
-                    if (s < n) sort_tail(img->keys, s, n);
-                }
-            }
-            img->next = node->snap.versions.load();
             // Release: a reader following the chain head must see the image
             // fully constructed.
             node->snap.versions.store_release(img);
@@ -1062,12 +1142,13 @@ private:
         if constexpr (WithSnapshots) {
             const std::uint64_t m = snap_.root_mod_epoch.load();
             if (m < e) {
-                auto* rv =
-                    snap_.arena
-                        .template make<typename SnapStateT::RootVersion>();
-                rv->root = old_root;
-                rv->epoch = m;
-                rv->next = snap_.root_versions.load();
+                using RootVersion = typename SnapStateT::RootVersion;
+                auto* rv = snap_.arena.template make<RootVersion>(
+                    e, [&](RootVersion& v) {
+                        v.root = old_root;
+                        v.epoch = m;
+                        v.next = snap_.root_versions.load();
+                    });
                 snap_.root_versions.store_release(rv);
                 snap_.root_mod_epoch.store(e);
             }
@@ -1081,15 +1162,12 @@ private:
 
     /// Frees detached subtrees and all retained images/chains (clear() and
     /// the destructor). The epoch itself is NOT reset: it stays monotonic so
-    /// stale Snapshot handles can never alias a future boundary.
+    /// stale Snapshot handles can never alias a future boundary. The pin
+    /// registry is kept too — handles still unregister from it.
     void release_snapshot_state() {
         if constexpr (WithSnapshots) {
-            for (auto* d = snap_.detached; d;) {
-                auto* next = d->next;
-                detail::free_subtree(d->root);
-                d = next;
-            }
-            snap_.detached = nullptr;
+            for (NodeT* d : snap_.detached) detail::free_subtree(d);
+            snap_.detached.clear();
             snap_.root_versions.store(nullptr);
             snap_.root_mod_epoch.store(0);
             snap_.arena.release();
@@ -2384,23 +2462,12 @@ private:
             root_lock_.start_write();
             NodeT* old_root = root_.load();
             snap_retain_root(old_root, snap_epoch_now());
-            if (old_root) {
-                auto* d = snap_.arena
-                              .template make<typename SnapStateT::DetachedRoot>();
-                d->root = old_root;
-                d->next = snap_.detached;
-                snap_.detached = d;
-            }
-            // Adopt the donor's retained images (its nodes become ours) plus
-            // any subtrees the donor was itself keeping alive.
-            snap_.arena.adopt(std::move(other.snap_.arena));
-            if (auto* od = other.snap_.detached) {
-                auto* tail = od;
-                while (tail->next) tail = tail->next;
-                tail->next = snap_.detached;
-                snap_.detached = od;
-                other.snap_.detached = nullptr;
-            }
+            if (old_root) snap_.detached.push_back(old_root);
+            // Any subtrees the donor was itself keeping alive become ours.
+            snap_.detached.insert(snap_.detached.end(),
+                                  other.snap_.detached.begin(),
+                                  other.snap_.detached.end());
+            other.snap_.detached.clear();
             other.snap_.root_versions.store(nullptr);
             other.snap_.root_mod_epoch.store(0);
             // Epochs only move forward, even across move-assignment — a
@@ -2410,6 +2477,11 @@ private:
             if (oe > snap_.epoch.load(std::memory_order_seq_cst)) {
                 snap_.epoch.store(oe, std::memory_order_seq_cst);
             }
+            // Adopt the donor's retained images (its nodes become ours).
+            // Their tags are epochs of the donor's clock: re-tag them with
+            // the post-steal epoch, which bounds every boundary they serve.
+            snap_.arena.adopt(std::move(other.snap_.arena),
+                              snap_.epoch.load(std::memory_order_seq_cst));
             root_.store(other.root_.load());
             other.root_.store(nullptr);
             root_lock_.end_write();

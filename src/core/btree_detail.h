@@ -73,11 +73,14 @@ struct InnerNode;
 /// image is the correct view of the node for every snapshot boundary B with
 /// epoch < B <= (epoch of the NEXT-newer image, or the node's live
 /// mod_epoch). Images chain newest-first through `next` with strictly
-/// decreasing epochs, are allocated from the tree's RetainArena, and are
-/// never freed until the tree is cleared/destroyed (the never-free model).
+/// decreasing epochs and are allocated from the tree's RetainArena, tagged
+/// with the epoch of the operation that captured them. The arena frees them
+/// a chunk at a time once no live or future snapshot can reach them, so
+/// `next` may dangle; a reader follows it only from an image whose epoch is
+/// >= its boundary, and that target outlives the reader's pin (§11).
 template <typename Key, unsigned BlockSize>
 struct SnapImage {
-    SnapImage* next = nullptr; ///< next-older image, or null
+    SnapImage* next = nullptr; ///< next-older image, or null (may dangle)
     std::uint64_t epoch = 0;   ///< mod_epoch of the captured content
     std::uint32_t n = 0;       ///< valid keys in keys[]
     bool inner = false;        ///< downcast marker for SnapInnerImage

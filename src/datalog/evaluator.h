@@ -81,7 +81,8 @@ struct EngineStats {
     std::uint64_t epoch_advances = 0; ///< delta rotations + the final publish
     std::uint64_t snapshot_pins = 0;
     std::uint64_t snapshot_cow_images = 0;
-    std::uint64_t snapshot_retained_bytes = 0; ///< retention footprint
+    std::uint64_t snapshot_retained_bytes = 0; ///< live (unreclaimed) image bytes
+    std::uint64_t snapshot_cow_bytes = 0;      ///< cumulative image bytes
 
     /// One flat object — the `stats` section of soufflette --profile=FILE.
     void write_json(json::Writer& w) const {
@@ -105,6 +106,7 @@ struct EngineStats {
         w.kv("snapshot_pins", snapshot_pins);
         w.kv("snapshot_cow_images", snapshot_cow_images);
         w.kv("snapshot_retained_bytes", snapshot_retained_bytes);
+        w.kv("snapshot_cow_bytes", snapshot_cow_bytes);
         w.end_object();
         w.key("hints");
         hints.write_json(w);
@@ -379,6 +381,7 @@ public:
                 s.snapshot_pins += snap.pins;
                 s.snapshot_cow_images += snap.cow_images;
                 s.snapshot_retained_bytes += snap.retained_bytes;
+                s.snapshot_cow_bytes += snap.cow_bytes;
             }
         }
         return s;

@@ -282,6 +282,7 @@ public:
             total.pins += s.pins;
             total.cow_images += s.cow_images;
             total.retained_bytes += s.retained_bytes;
+            total.cow_bytes += s.cow_bytes;
         }
         return total;
     }

@@ -107,6 +107,7 @@ enum class ErrCode : std::uint16_t {
     ShuttingDown = 10,   ///< server is draining; no new commits accepted
     Timeout = 11,        ///< read deadline expired (server closes after this)
     Internal = 12,
+    Busy = 13,           ///< server at max_sessions; connection closed
 };
 
 inline const char* err_name(ErrCode c) {
@@ -123,6 +124,7 @@ inline const char* err_name(ErrCode c) {
         case ErrCode::ShuttingDown: return "shutting-down";
         case ErrCode::Timeout: return "timeout";
         case ErrCode::Internal: return "internal";
+        case ErrCode::Busy: return "busy";
     }
     return "?";
 }

@@ -26,6 +26,9 @@
 //     queue is bounded by bytes — when a slow client keeps it full past
 //     write_timeout_ms the session is SHED (counted, closed) instead of
 //     wedging a reader thread or growing the heap;
+//   * max_sessions: a connection beyond the cap gets one ERROR Busy frame
+//     and is closed by the acceptor before any session thread starts, so
+//     threads stay at 2 per admitted session plus 2;
 //   * max_frame: oversize frames are skipped in O(1) memory and answered
 //     with ERROR FrameTooLarge (the session survives); max_batch bounds
 //     staged tuples per session (ERROR BatchLimit);
@@ -73,6 +76,7 @@ struct ServerConfig {
     std::size_t max_frame = kDefaultMaxFrame;
     std::size_t max_batch = kDefaultMaxBatch;
     std::size_t max_output_bytes = 4u << 20; ///< per-session output queue bound
+    std::size_t max_sessions = 256; ///< live sessions; more get ERROR Busy
 };
 
 /// Always-on server counters (the net_* metrics mirror these when
@@ -86,6 +90,7 @@ struct ServerCounters {
     std::atomic<std::uint64_t> bytes_out{0};
     std::atomic<std::uint64_t> timeouts{0};
     std::atomic<std::uint64_t> sessions_shed{0};
+    std::atomic<std::uint64_t> sessions_refused{0};
     std::atomic<std::uint64_t> commits_queued{0};
     std::atomic<std::uint64_t> group_commits{0};
     std::atomic<std::uint64_t> errors_sent{0};
@@ -213,6 +218,7 @@ public:
         w.kv("bytes_out", counters_.bytes_out.load());
         w.kv("timeouts", counters_.timeouts.load());
         w.kv("sessions_shed", counters_.sessions_shed.load());
+        w.kv("sessions_refused", counters_.sessions_refused.load());
         w.kv("commits_queued", counters_.commits_queued.load());
         w.kv("group_commits", counters_.group_commits.load());
         w.kv("errors_sent", counters_.errors_sent.load());
@@ -438,6 +444,11 @@ private:
             if (r == IoResult::Ok) {
                 counters_.connections.fetch_add(1, std::memory_order_relaxed);
                 DTREE_METRIC_INC(net_connections);
+                reap_sessions(/*all=*/false);
+                if (live_sessions() >= cfg_.max_sessions) {
+                    refuse_busy(client);
+                    continue;
+                }
                 auto sess = std::make_shared<Session>(std::move(client),
                                                       cfg_.max_output_bytes);
                 sess->sender = std::thread([this, sess] { sender_loop(*sess); });
@@ -460,6 +471,37 @@ private:
         // durable once COMMIT was enqueued).
         std::lock_guard<std::mutex> lk(sessions_mu_);
         for (auto& s : sessions_) s->sock.shutdown_read();
+    }
+
+    std::size_t live_sessions() {
+        std::lock_guard<std::mutex> lk(sessions_mu_);
+        return sessions_.size();
+    }
+
+    /// Session cap reached: one ERROR Busy frame, then close, on the
+    /// acceptor thread — no session threads start. The write side is shut
+    /// first and the client's already-sent bytes (its HELLO) are drained
+    /// for at most one poll slice, so the close does not reset the
+    /// connection before the client has read the frame.
+    void refuse_busy(Socket& client) {
+        counters_.sessions_refused.fetch_add(1, std::memory_order_relaxed);
+        counters_.errors_sent.fetch_add(1, std::memory_order_relaxed);
+        const auto frame = encode_error(ErrCode::Busy, "server at max_sessions");
+        if (client.send_all(frame.data(), frame.size(), cfg_.poll_slice_ms) !=
+            IoResult::Ok) {
+            return;
+        }
+        client.shutdown_write();
+        const std::int64_t deadline = posix::now_ms() + cfg_.poll_slice_ms;
+        std::uint8_t buf[1024];
+        std::size_t got = 0;
+        for (std::int64_t left = cfg_.poll_slice_ms; left > 0;
+             left = deadline - posix::now_ms()) {
+            if (client.recv_some(buf, sizeof(buf), got, static_cast<int>(left)) !=
+                IoResult::Ok) {
+                break;
+            }
+        }
     }
 
     void reap_sessions(bool all) {

@@ -116,6 +116,11 @@ public:
         if (fd_ >= 0) ::shutdown(fd_, SHUT_RD);
     }
 
+    /// Write side only: the peer reads EOF after our queued bytes.
+    void shutdown_write() {
+        if (fd_ >= 0) ::shutdown(fd_, SHUT_WR);
+    }
+
     /// O_NONBLOCK: required for deadline-correct send_all/recv_some (see the
     /// header comment). Every connected socket gets this at creation.
     bool set_nonblocking() {

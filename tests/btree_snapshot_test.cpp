@@ -323,6 +323,121 @@ TYPED_TEST(SnapshotTest, ConcurrentWritersEpochTickerPinnedOracle) {
     EXPECT_TRUE(t.check_invariants().empty()) << t.check_invariants();
 }
 
+// -- image reclamation (DESIGN.md §11) ---------------------------------------
+// advance_epoch() frees every arena chunk whose images serve only boundaries
+// older than the oldest live pin. These pin an old boundary across hundreds
+// of advances (splits, root growth, newer pins coming and going) and check
+// its reads never change, then check that nothing is retained once no pin
+// needs it.
+
+using GcTree = SnapSet<3>;
+constexpr std::size_t kChunk = dtree::RetainArena::kChunkBytes;
+
+/// Every read surface of `s` against its pin-time oracle.
+void expect_reads_match(const GcTree::Snapshot& s,
+                        const std::set<std::uint64_t>& oracle,
+                        std::uint64_t key_space, const char* what) {
+    std::vector<std::uint64_t> got;
+    s.for_each([&](const std::uint64_t& k) { got.push_back(k); });
+    ASSERT_EQ(got, std::vector<std::uint64_t>(oracle.begin(), oracle.end()))
+        << what;
+    // Probes: a sample of stored keys (hits) plus a stride over the key
+    // space (mostly misses, answered by lower_bound's successor).
+    std::vector<std::uint64_t> probes;
+    for (std::size_t i = 0; i < got.size(); i += 41) probes.push_back(got[i]);
+    for (std::uint64_t k = 0; k < key_space; k += 8191) probes.push_back(k);
+    for (const std::uint64_t k : probes) {
+        const auto f = s.find(k);
+        ASSERT_EQ(f.has_value(), oracle.count(k) == 1) << what << " find " << k;
+        const auto lb = s.lower_bound(k);
+        const auto want = oracle.lower_bound(k);
+        ASSERT_EQ(lb.has_value(), want != oracle.end()) << what << " lb " << k;
+        if (lb) {
+            ASSERT_EQ(*lb, *want) << what << " lb " << k;
+        }
+    }
+}
+
+TEST(SnapshotGc, OldPinSurvivesManyAdvances) {
+    constexpr std::uint64_t kSpace = 1u << 22;
+    GcTree t;
+    std::set<std::uint64_t> live;
+    std::mt19937_64 rng(2024);
+    auto insert_some = [&](int n) {
+        for (int i = 0; i < n; ++i) {
+            const std::uint64_t k = rng() % kSpace;
+            if (t.insert(k)) live.insert(k);
+        }
+    };
+    // Unpinned history first: its images must all be reclaimed.
+    for (int round = 0; round < 20; ++round) {
+        insert_some(500);
+        t.advance_epoch();
+    }
+    insert_some(20000);
+    t.advance_epoch();
+
+    auto old_pin = t.snapshot();
+    const std::set<std::uint64_t> old_oracle = live;
+    // A burst in the pinned epoch itself: images tagged exactly with the
+    // pinned boundary, enough of them to fill whole chunks.
+    insert_some(20000);
+
+    std::vector<std::pair<GcTree::Snapshot, std::set<std::uint64_t>>> newer;
+    for (int round = 0; round < 220; ++round) {
+        insert_some(round % 10 == 0 ? 3000 : 200);
+        t.advance_epoch();
+        if (round % 7 == 0) newer.emplace_back(t.snapshot(), live);
+        if (round % 11 == 0 && !newer.empty()) {
+            expect_reads_match(newer.front().first, newer.front().second,
+                               kSpace, "newer pin");
+            newer.erase(newer.begin());
+        }
+        if (round == 100) {
+            // Hand the old pin through a copy and a move: the registration
+            // must follow the handle.
+            GcTree::Snapshot copy = old_pin;
+            old_pin = GcTree::Snapshot();
+            old_pin = std::move(copy);
+            EXPECT_FALSE(copy.valid()); // NOLINT(bugprone-use-after-move)
+        }
+        if (round % 20 == 0) {
+            expect_reads_match(old_pin, old_oracle, kSpace, "old pin");
+        }
+    }
+    expect_reads_match(old_pin, old_oracle, kSpace, "old pin at end");
+    for (const auto& [s, o] : newer) expect_reads_match(s, o, kSpace, "newer");
+    EXPECT_TRUE(t.check_invariants().empty()) << t.check_invariants();
+
+    const auto held = t.snap_stats();
+    EXPECT_GT(held.retained_bytes, 4 * kChunk)
+        << "the old pin should be holding many chunks";
+    newer.clear();
+    old_pin = GcTree::Snapshot();
+    t.advance_epoch();
+    const auto st = t.snap_stats();
+    EXPECT_LE(st.retained_bytes, kChunk);
+    EXPECT_GT(st.cow_bytes, 8 * kChunk);
+    EXPECT_EQ(st.cow_images, held.cow_images);
+}
+
+TEST(SnapshotGc, UnpinnedTreeStaysBounded) {
+    GcTree t;
+    std::mt19937_64 rng(5);
+    std::size_t peak = 0;
+    for (int round = 0; round < 1000; ++round) {
+        for (int i = 0; i < 100; ++i) t.insert(rng() % 1000000);
+        t.advance_epoch();
+        peak = std::max(peak, t.snap_stats().retained_bytes);
+    }
+    const auto st = t.snap_stats();
+    EXPECT_LE(peak, kChunk);
+    EXPECT_GT(st.cow_bytes, 8 * kChunk) << "too few images to span chunks";
+    t.advance_epoch();
+    const auto fresh = t.snapshot();
+    EXPECT_EQ(fresh.size(), t.size());
+}
+
 // Sequential-policy instantiation: the same API under SeqAccess (single
 // writer), used by sequential loads that still want historical pins.
 TEST(SnapshotSeqPolicy, OracleAtPinTime) {

@@ -11,7 +11,9 @@
 //   * evaluation at 1 thread and at a full team — both with concurrent
 //     readers hammering snapshots — derives identical final relations.
 
+#include "core/retain_arena.h"
 #include "datalog/program.h"
+#include "datalog/service.h"
 #include "datalog/workloads.h"
 #include "util/parallel.h"
 
@@ -214,6 +216,76 @@ TEST(DatalogSnapshot, PostRunSnapshotEqualsFinalRelation) {
     const auto s = engine.stats();
     EXPECT_GE(s.epoch, 2u);
     EXPECT_GT(s.snapshot_pins, 0u);
+}
+
+// Serve-style retention: EngineService::query pins snapshots from a reader
+// thread while K commits re-run the fixpoint. Images are reclaimed behind
+// the oldest live pin, so the live footprint must not grow with K: once the
+// reader stops, one more commit leaves at most one arena chunk per index.
+TEST(DatalogSnapshot, ServiceQueriesAcrossCommitsReclaimImages) {
+    constexpr unsigned kCommits = 24;
+    const Workload w = make_transitive_closure(GraphKind::Random, 400, 1200, 21);
+    std::vector<std::pair<std::string, Contents>> initial;
+    std::vector<EngineService<SnapEngine>::Batch> batches(kCommits + 1);
+    for (const auto& [rel, facts] : w.facts) {
+        Contents init;
+        for (std::size_t i = 0; i < facts.size(); ++i) {
+            if (i % 3 == 2) {
+                batches[(i / 3) % batches.size()][rel].push_back(facts[i]);
+            } else {
+                init.push_back(facts[i]);
+            }
+        }
+        initial.emplace_back(rel, std::move(init));
+    }
+    SnapEngine engine(compile(w.source));
+    for (const auto& [rel, facts] : initial) engine.add_facts(rel, facts);
+    const unsigned threads = dtree::util::env_threads(4);
+    engine.run(threads);
+    EngineService<SnapEngine> svc(engine);
+
+    // Probe the largest relation; every tuple present now stays present.
+    std::string probe_rel;
+    for (const auto& d : engine.analyzed().decls) {
+        if (probe_rel.empty() ||
+            engine.relation(d.name).size() > engine.relation(probe_rel).size()) {
+            probe_rel = d.name;
+        }
+    }
+    const Contents probes = engine.tuples(probe_rel);
+    ASSERT_FALSE(probes.empty());
+
+    std::atomic<bool> stop{false};
+    std::atomic<std::uint64_t> queries{0};
+    bool reader_ok = true;
+    std::thread reader([&] {
+        std::uint64_t last_epoch = 0;
+        for (std::size_t i = 0; !stop.load(std::memory_order_acquire); ++i) {
+            const auto r = svc.query(probe_rel, probes[i % probes.size()]);
+            if (!r.found || r.epoch < last_epoch) reader_ok = false;
+            last_epoch = r.epoch;
+            queries.fetch_add(1, std::memory_order_relaxed);
+        }
+    });
+    std::uint64_t peak = 0;
+    for (unsigned k = 0; k < kCommits; ++k) {
+        svc.commit(batches[k], threads);
+        peak = std::max(peak, engine.stats().snapshot_retained_bytes);
+    }
+    stop.store(true, std::memory_order_release);
+    reader.join();
+    EXPECT_TRUE(reader_ok) << "a query lost a tuple or went back in epochs";
+    EXPECT_GT(queries.load(), 0u);
+
+    svc.commit(batches[kCommits], threads); // no pins: reclaim to the bump chunks
+    std::size_t trees = 0;
+    for (const auto& d : engine.analyzed().decls) {
+        trees += engine.relation(d.name).index_count();
+    }
+    const auto s = engine.stats();
+    EXPECT_LE(s.snapshot_retained_bytes, trees * dtree::RetainArena::kChunkBytes);
+    EXPECT_GT(s.snapshot_cow_bytes, 4 * peak)
+        << "live bytes should stay far below the cumulative image bytes";
 }
 
 } // namespace

@@ -481,4 +481,47 @@ TEST(NetServer, ReadTimeoutClosesIdleSessions) {
     EXPECT_GE(fx.server.counters().timeouts.load(), 1u);
 }
 
+// Session cap: at max_sessions the acceptor answers ERROR Busy and closes
+// without starting session threads; a slot freed by GOODBYE is reusable.
+TEST(NetServer, SessionCapRepliesBusy) {
+    net::ServerConfig cfg;
+    cfg.max_sessions = 2;
+    cfg.poll_slice_ms = 20;
+    ServerFixture fx(cfg);
+    net::Client a("127.0.0.1", fx.server.port());
+    net::Client b("127.0.0.1", fx.server.port());
+    EXPECT_TRUE(a.query("edge", tup(1, 2), 2).found);
+
+    try {
+        net::Client third("127.0.0.1", fx.server.port());
+        ADD_FAILURE() << "third session admitted past max_sessions = 2";
+    } catch (const net::NetError& e) {
+        EXPECT_EQ(e.err(), net::ErrCode::Busy) << e.what();
+    }
+    EXPECT_EQ(fx.server.counters().sessions_refused.load(), 1u);
+    EXPECT_TRUE(b.query("edge", tup(1, 2), 2).found)
+        << "admitted sessions keep working at the cap";
+
+    // GOODBYE frees a's slot once its reader thread has exited; until the
+    // acceptor sees it finished a reconnect may still be refused.
+    a.goodbye();
+    bool admitted = false;
+    for (int attempt = 0; attempt < 200 && !admitted; ++attempt) {
+        try {
+            net::Client again("127.0.0.1", fx.server.port());
+            EXPECT_EQ(again.count("path").tuples, 16u * 16u);
+            again.goodbye();
+            admitted = true;
+        } catch (const net::NetError& e) {
+            ASSERT_EQ(e.err(), net::ErrCode::Busy) << e.what();
+            std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        }
+    }
+    EXPECT_TRUE(admitted) << "freed slot never became reusable";
+    b.goodbye();
+
+    fx.server.request_stop();
+    fx.server.wait();
+}
+
 } // namespace
