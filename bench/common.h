@@ -64,38 +64,6 @@ inline std::string label(std::size_t side) {
     return std::to_string(side) + "^2";
 }
 
-// -- storage policy flags ----------------------------------------------------
-
-/// The storage-policy knobs shared by every binary that instantiates the
-/// tree family — `--search=default|linear|binary`, `--fingerprints` —
-/// parsed once here so soufflette, fig4 and table2 cannot drift apart on
-/// flag syntax. Each binary documents which policies its rows or engine
-/// dispatch act on; parsing is uniform regardless.
-struct StoragePolicy {
-    enum class SearchMode { Default, Linear, Binary };
-
-    SearchMode search = SearchMode::Default; ///< --search= (in-node kernel)
-    bool fingerprints = false;               ///< --fingerprints given (§15)
-};
-
-/// Parses the policy flags out of `cli`; returns false (after printing a
-/// diagnostic) on an unknown --search value.
-inline bool parse_storage_policy(const util::Cli& cli, StoragePolicy& out) {
-    const std::string s = cli.get_str("search", "");
-    if (s.empty() || s == "1" || s == "default") {
-        out.search = StoragePolicy::SearchMode::Default;
-    } else if (s == "linear") {
-        out.search = StoragePolicy::SearchMode::Linear;
-    } else if (s == "binary") {
-        out.search = StoragePolicy::SearchMode::Binary;
-    } else {
-        std::cerr << "unknown --search=" << s << " (default|linear|binary)\n";
-        return false;
-    }
-    out.fingerprints = cli.get_bool("fingerprints");
-    return true;
-}
-
 /// Machine-readable run record: every bench that accepts `--json <path>`
 /// funnels its results through one of these. The emitted shape is uniform
 /// across benches — scripts/bench.sh aggregates the files into BENCH_*.json:

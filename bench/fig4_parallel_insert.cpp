@@ -63,13 +63,31 @@ std::vector<Point> make_input(std::size_t n, bool ordered, unsigned threads) {
     return pts;
 }
 
-/// In-node search policy override for the our-btree rows (--search=; parsed
-/// by bench::parse_storage_policy). The adapters stay on the canonical row
-/// names so JSON consumers see the same schema whichever kernel ran; the
-/// `config` section records the choice.
-using SearchMode = StoragePolicy::SearchMode;
+/// In-node search policy override for the our-btree rows (--search=). The
+/// adapters stay on the canonical row names so JSON consumers see the same
+/// schema whichever kernel ran; the `config` section records the choice.
+enum class SearchMode { Default, Linear, Binary };
 
-StoragePolicy g_policy;
+SearchMode g_search = SearchMode::Default;
+bool g_fingerprints = false; ///< --fingerprints: add the "btree (fp)" row
+
+/// Parses --search=default|linear|binary; false (after a diagnostic) on an
+/// unknown value.
+bool parse_search(const util::Cli& cli, SearchMode& out) {
+    const std::string s = cli.get_str("search", "");
+    if (s.empty() || s == "1" || s == "default") {
+        out = SearchMode::Default;
+    } else if (s == "linear") {
+        out = SearchMode::Linear;
+    } else if (s == "binary") {
+        out = SearchMode::Binary;
+    } else {
+        std::fprintf(stderr, "unknown --search=%s (default|linear|binary)\n",
+                     s.c_str());
+        return false;
+    }
+    return true;
+}
 
 template <typename Search, bool UseHints>
 using OurBTreeWith = BTreeAdapterImpl<
@@ -97,7 +115,7 @@ double run_one(const std::vector<Point>& pts, unsigned threads) {
 
 template <bool UseHints>
 double run_our(const std::vector<Point>& pts, unsigned threads) {
-    switch (g_policy.search) {
+    switch (g_search) {
         case SearchMode::Linear:
             return run_one<OurBTreeWith<detail::LinearSearch, UseHints>>(pts, threads);
         case SearchMode::Binary:
@@ -123,7 +141,7 @@ void run_section(const char* title, std::size_t n, bool ordered,
         const auto pts = make_input(n, ordered, t);
         table.add("btree (n/h)", run_our<false>(pts, t));
     }
-    if (g_policy.fingerprints) {
+    if (g_fingerprints) {
         // Leaf layout v2 (DESIGN.md §15). The default sweep never
         // instantiates the policy, which is what lets scripts/bench.sh
         // assert all-zero fingerprint counters on the default record.
@@ -167,7 +185,8 @@ int main(int argc, char** argv) {
     if (const std::size_t grain = cli.get_u64("grain", 0)) {
         dtree::runtime::set_default_grain(grain);
     }
-    if (!parse_storage_policy(cli, g_policy)) return 2;
+    if (!parse_search(cli, g_search)) return 2;
+    g_fingerprints = cli.get_bool("fingerprints");
 
     const auto single = cli.get_list("threads", {1, 2, 4, 8, 12, 16});
     const auto multi = cli.get_list("threads", {1, 2, 4, 8, 12, 16, 20, 24, 28, 32});

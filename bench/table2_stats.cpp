@@ -29,10 +29,6 @@ struct Row {
     double hint_rate_16t = 0;
 };
 
-/// Storage policy (--fingerprints); parsed by
-/// bench::parse_storage_policy in main.
-dtree::bench::StoragePolicy g_policy;
-
 template <typename StorageT>
 Row measure(const Workload& w) {
     Row row;
@@ -52,8 +48,8 @@ Row measure(const Workload& w) {
     return row;
 }
 
-Row measure(const Workload& w) {
-    if (g_policy.fingerprints) return measure<storage::OurBTreeFp>(w);
+Row measure(const Workload& w, bool fingerprints) {
+    if (fingerprints) return measure<storage::OurBTreeFp>(w);
     return measure<storage::OurBTree>(w);
 }
 
@@ -67,12 +63,12 @@ int main(int argc, char** argv) {
     dtree::util::Cli cli(argc, argv);
     const bool full = cli.get_bool("full");
     const std::size_t scale = cli.get_u64("scale", full ? 20000 : 1200);
-    if (!dtree::bench::parse_storage_policy(cli, g_policy)) return 2;
+    const bool fingerprints = cli.get_bool("fingerprints");
 
     const Workload doop = make_doop_like(scale, 7);
     const Workload ec2 = make_ec2_like(scale + scale / 4, 11);
-    const Row d = measure(doop);
-    const Row e = measure(ec2);
+    const Row d = measure(doop, fingerprints);
+    const Row e = measure(ec2, fingerprints);
 
     std::printf("=== [table 2] Real-World Datalog Benchmark Properties (scale %zu) ===\n\n", scale);
     std::printf("%-22s %18s %18s\n", "Datalog Property", "Doop-like", "EC2-security-like");

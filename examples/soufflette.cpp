@@ -52,7 +52,6 @@
 #include <thread>
 #include <vector>
 
-#include "bench/common.h"
 #include "datalog/io.h"
 #include "datalog/program.h"
 #include "datalog/service.h"
@@ -67,10 +66,6 @@
 namespace {
 
 using namespace dtree::datalog;
-
-/// Storage policy (--fingerprints); parsed once in main by
-/// bench::parse_storage_policy, consulted by the engine dispatch below.
-dtree::bench::StoragePolicy g_policy;
 
 /// What one serve-probe reader observed. Merged and reported after the run.
 struct ProbeTally {
@@ -564,11 +559,11 @@ int main(int argc, char** argv) {
         : 0;
 
     try {
-        if (!dtree::bench::parse_storage_policy(cli, g_policy)) return 2;
+        const bool fingerprints = cli.get_bool("fingerprints");
         // Snapshot-capable storage whenever someone will read concurrently
         // with evaluation: probe readers or wire-protocol sessions.
         if (probe_threads || cli.has("listen")) {
-            if (g_policy.fingerprints) {
+            if (fingerprints) {
                 std::fprintf(stderr,
                              "note: --fingerprints is ignored with "
                              "--serve-probe/--listen (snapshot storage "
@@ -577,7 +572,7 @@ int main(int argc, char** argv) {
             return run_soufflette<Engine<storage::OurBTreeSnap>>(
                 program_path, cli, probe_threads);
         }
-        if (g_policy.fingerprints) {
+        if (fingerprints) {
             return run_soufflette<Engine<storage::OurBTreeFp>>(
                 program_path, cli, 0);
         }

@@ -37,11 +37,16 @@
 # loopback sockets and the served state matched the one-shot oracle. The
 # fingerprint record
 # (BENCH_fig4_fp.json, the --fingerprints leg) must show leaf layout v2 at
-# work — nonzero fp_probes / fp_skips / append_inserts — and the ablation's
-# probe table must show the v2 fingerprint cells beating the v1 default-search
-# cells by >= 15% on miss-dominated membership probes; the default fig4/fig3/
-# table2 records double as the fingerprints-OFF leg with all-zero fp
-# counters (DESIGN.md §15).
+# work — nonzero fp_probes / fp_skips / append_inserts — and the default
+# fig4/fig3/table2 records double as the fingerprints-OFF leg with all-zero
+# fp counters (DESIGN.md §15).
+#
+# The v2 probe claim is timed apart from the counters: the metrics build's
+# counter increments distort the very cells it compares. ablation_search is
+# also built in a default (non-metrics) tree, build-bench/, and run three
+# times with --reps=5; the median over those runs of the fp/v1 probe ratio
+# must be >= 1.15 for each key kind (miss-dominated membership probes at
+# the default block size, both cells on the default in-node search).
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -63,6 +68,10 @@ cmake -B "$BUILD" -S . -DDATATREE_METRICS=ON >/dev/null
 cmake --build "$BUILD" -j"$JOBS" \
   --target fig3_sequential fig4_parallel_insert table2_stats fig5_datalog \
            ablation_search snapshot_reads serve_ingest serve_net
+TIMING_BUILD=build-bench
+echo "== configuring $TIMING_BUILD (default build, for timed ablation cells) =="
+cmake -B "$TIMING_BUILD" -S . >/dev/null
+cmake --build "$TIMING_BUILD" -j"$JOBS" --target ablation_search
 
 case "$MODE" in
   smoke)
@@ -126,12 +135,19 @@ run serve_ingest        BENCH_serve.json "${SERVE_ARGS[@]}"
 # it exits nonzero if any client-side consistency obligation breaks or the
 # served state diverges from the one-shot oracle.
 run serve_net           BENCH_net.json "${NET_ARGS[@]}"
+# The fp-probe timing runs (default build, see header). Their records are
+# scratch inputs to the validator below, kept in the timing build tree.
+for i in 1 2 3; do
+  echo "== [default build] ablation_search ${ABLATION_ARGS[*]} --reps=5 (run $i/3) =="
+  "./$TIMING_BUILD/bench/ablation_search" "${ABLATION_ARGS[@]}" --reps=5 \
+    --json="$TIMING_BUILD/ablation_search_run$i.json"
+done
 
 if command -v python3 >/dev/null 2>&1; then
   echo "== validating emitted JSON =="
-  python3 - "$OUT_DIR" <<'EOF'
-import json, sys
-out = sys.argv[1]
+  python3 - "$OUT_DIR" "$TIMING_BUILD" <<'EOF'
+import json, statistics, sys
+out, timing_dir = sys.argv[1], sys.argv[2]
 records = {}
 for name in ("BENCH_fig3.json", "BENCH_fig4.json",
              "BENCH_fig4_fp.json", "BENCH_table2.json", "BENCH_fig5.json",
@@ -176,18 +192,28 @@ print("   fig4/fig3/table2 (fingerprints-off) fp counters all zero")
 
 # The point of the layout: on miss-dominated membership probes at the
 # default BlockSize, the v2 fingerprint probe must beat the v1 tree on the
-# same default in-node search by >= 15%.
-ptab = next(t for t in records["BENCH_ablation_search.json"]["throughput"]
-            if "membership probes" in t["title"])
-for kind in ("tuple", "u64"):
-    v1 = next(v for n, v in ptab["series"].items()
-              if n.startswith(f"{kind} probe v1"))[0]
-    fp = next(v for n, v in ptab["series"].items()
-              if n.startswith(f"{kind} probe fp"))[0]
-    assert fp >= 1.15 * v1, \
-        f"ablation {kind} probe: fp {fp:.2f} M/s < 1.15x v1 {v1:.2f} M/s"
-    print(f"   ablation {kind} probes: v1 {v1:.2f} -> fp {fp:.2f} M/s "
-          f"({fp / v1:.2f}x)")
+# same default in-node search by >= 15%. Timed on the default build: the
+# median over three runs (each cell best of --reps=5) of the per-run ratio.
+ratios = {"tuple": [], "u64": []}
+for i in (1, 2, 3):
+    with open(f"{timing_dir}/ablation_search_run{i}.json") as f:
+        rec = json.load(f)
+    assert not rec["metrics_enabled"], \
+        "the fp-probe timing must come from a default (non-metrics) build"
+    ptab = next(t for t in rec["throughput"]
+                if "membership probes" in t["title"])
+    for kind in ratios:
+        v1 = next(v for n, v in ptab["series"].items()
+                  if n.startswith(f"{kind} probe v1"))[0]
+        fp = next(v for n, v in ptab["series"].items()
+                  if n.startswith(f"{kind} probe fp"))[0]
+        ratios[kind].append(fp / v1)
+for kind, rs in ratios.items():
+    med = statistics.median(rs)
+    print(f"   ablation {kind} probes (default build): fp/v1 "
+          f"{' / '.join(f'{r:.2f}' for r in rs)}x, median {med:.2f}x")
+    assert med >= 1.15, \
+        f"ablation {kind} probe: median fp/v1 {med:.2f}x < 1.15x"
 
 table2 = records["BENCH_table2.json"]
 m2 = table2["metrics"]

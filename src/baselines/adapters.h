@@ -153,7 +153,7 @@ public:
     static constexpr bool ordered = true;
     static const char* name() {
         if constexpr (Tree::with_fingerprints) {
-            return ThreadSafe ? "btree (fp)" : "seq btree (fp)";
+            return "btree (fp)";
         } else if constexpr (ThreadSafe) {
             return UseHints ? "btree" : "btree (n/h)";
         } else {
@@ -272,7 +272,7 @@ public:
 
     // -- snapshot surface (DESIGN.md §11; snapshot-enabled trees only) -------
 
-    /// True for adapters over snapshot_btree_* trees; relation.h keys its
+    /// True for adapters over snapshot_btree_set trees; relation.h keys its
     /// Relation::snapshot() availability off this.
     static constexpr bool snapshot_capable = Tree::with_snapshots;
 

@@ -2,12 +2,17 @@
 
 // The specialized concurrent B-tree for Datalog evaluation (paper §3).
 //
-// One template implements all four configurations the paper evaluates:
+// One template implements the three configurations the paper evaluates
+// plus the two policy variants this repo's binaries run:
 //
 //   btree_set<K>           concurrent, with operation hints   ("btree")
 //   btree_set<K>           same tree, hints simply not passed ("btree (n/h)")
 //   seq_btree_set<K>       sequential: no locks, no atomics   ("seq btree")
-//   btree_multiset<K>      duplicate-preserving variant (Soufflé extension)
+//   snapshot_btree_set<K>  concurrent + epoch snapshots (DESIGN.md §11)
+//   fp_btree_set<K>        concurrent + leaf layout v2 (DESIGN.md §15)
+//
+// Every configuration is a set: insert() reports whether the set changed,
+// which is the verdict semi-naïve evaluation runs on.
 //
 // Concurrency contract (the paper's phase-concurrent model, §2/§3.1):
 //   * insert() may be called from any number of threads concurrently with
@@ -56,7 +61,7 @@ namespace detail {
 /// through [[no_unique_address]] and specialised to an empty struct for
 /// non-snapshot trees so the paper-faithful configuration stays bit-identical
 /// in layout and behaviour (the same pattern as the per-node SnapState).
-template <typename NodeT, bool Concurrent, bool Present>
+template <typename NodeT, bool Present>
 struct SnapTreeState {
     /// One entry per *root replacement*: `root` is the PREVIOUS root pointer
     /// (nullptr when the tree was empty) and `epoch` the root_mod_epoch it
@@ -78,9 +83,9 @@ struct SnapTreeState {
     std::atomic<std::uint64_t> epoch{1};
     /// Epoch during which the live root pointer was last replaced; protected
     /// by root_lock_ for writers, lease-validated by snapshot readers.
-    relaxed_value<std::uint64_t, Concurrent> root_mod_epoch{};
+    relaxed_value<std::uint64_t, true> root_mod_epoch{};
     /// Newest-first chain of former roots (see RootVersion).
-    relaxed_value<RootVersion*, Concurrent> root_versions{};
+    relaxed_value<RootVersion*, true> root_versions{};
     /// Former roots detached by move-assignment (steal): unlike the old root
     /// of a *growth* split — which stays reachable as a child of the new
     /// root — these subtrees must be freed separately at clear()/destruction.
@@ -99,8 +104,8 @@ struct SnapTreeState {
     std::atomic<std::uint64_t> pins{0};
     std::atomic<std::uint64_t> cow_images{0};
 };
-template <typename NodeT, bool Concurrent>
-struct SnapTreeState<NodeT, Concurrent, false> {};
+template <typename NodeT>
+struct SnapTreeState<NodeT, false> {};
 
 } // namespace detail
 
@@ -109,7 +114,6 @@ template <typename Key,
           unsigned BlockSize = detail::default_block_size<Key>(),
           typename Search = detail::DefaultSearch<Key, Compare, BlockSize>,
           typename Access = ConcurrentAccess,
-          bool AllowDuplicates = false,
           bool WithSnapshots = false,
           bool WithFingerprints = false>
 class btree {
@@ -119,6 +123,13 @@ class btree {
                   "leaf layout v2 needs a key_fingerprint overload for this "
                   "key type (core/tuple.h provides arithmetic keys and "
                   "Tuple<Arity>)");
+    // Snapshots serve readers that race concurrent writers, and their
+    // images hold sorted v1 leaves: the two compositions no binary runs
+    // are not built (DESIGN.md §11 policy matrix).
+    static_assert(!WithSnapshots || Access::concurrent,
+                  "snapshots need the concurrent access policy");
+    static_assert(!(WithSnapshots && WithFingerprints),
+                  "leaf layout v2 does not compose with snapshots");
     using NodeT =
         detail::Node<Key, BlockSize, Access, WithSnapshots, WithFingerprints>;
     using InnerT = detail::InnerNode<Key, BlockSize, Access, WithSnapshots,
@@ -127,8 +138,7 @@ class btree {
     static constexpr bool concurrent = Access::concurrent;
     using ImageT = typename NodeT::SnapImageT;
     using InnerImageT = typename NodeT::SnapInnerImageT;
-    using SnapStateT =
-        detail::SnapTreeState<NodeT, Access::concurrent, WithSnapshots>;
+    using SnapStateT = detail::SnapTreeState<NodeT, WithSnapshots>;
 
 public:
     using key_type = Key;
@@ -138,7 +148,6 @@ public:
                          WithFingerprints, Compare>;
     using iterator = const_iterator; // keys are immutable once stored
     static constexpr unsigned block_size = BlockSize;
-    static constexpr bool allow_duplicates = AllowDuplicates;
     static constexpr bool with_snapshots = WithSnapshots;
     static constexpr bool with_fingerprints = WithFingerprints;
 
@@ -216,7 +225,7 @@ public:
 
     // -- insertion ----------------------------------------------------------
 
-    /// Inserts k; returns true iff the set changed (multiset: always true).
+    /// Inserts k; returns true iff the set changed.
     /// Thread-safe against concurrent insert() calls in the concurrent
     /// instantiation.
     bool insert(const Key& k) {
@@ -257,8 +266,7 @@ public:
         insert_sorted_run(other.begin(), other.end(), h);
     }
 
-    /// Bulk insert of a SORTED run (strictly increasing for sets — equal
-    /// keys are deduplicated anyway — weakly for multisets). Locates the
+    /// Bulk insert of a SORTED run (equal keys are deduplicated). Locates the
     /// target leaf once per run segment, merges keys into it in bulk up to
     /// its upper separator under ONE lock upgrade (concurrent policy) or as
     /// a plain in-place merge (seq policy), and splits in bulk. Returns the
@@ -307,10 +315,10 @@ public:
         return insert_sorted_run(first, last, h);
     }
 
-    /// Bulk load: builds a packed tree from a SORTED random-access range in
-    /// O(n) — strictly increasing for sets, weakly for multisets. The
-    /// adjacent-pair sortedness check runs UNCONDITIONALLY (it is O(n)
-    /// against an O(n) build); unsorted input throws std::invalid_argument
+    /// Bulk load: builds a packed tree from a strictly increasing
+    /// random-access range in O(n). The adjacent-pair sortedness check runs
+    /// UNCONDITIONALLY (it is O(n) against an O(n) build); unsorted or
+    /// duplicate-laden input throws std::invalid_argument
     /// instead of silently constructing a structurally broken tree in
     /// release builds. Every node is filled to BlockSize-1 keys (one slot of
     /// slack so follow-up inserts do not split immediately), all leaves at
@@ -342,7 +350,7 @@ public:
                 const Key k = *it;
                 if (have_prev) {
                     const int c = out.comp_(prev, k);
-                    if (c > 0 || (!AllowDuplicates && c == 0)) {
+                    if (c >= 0) {
                         throw std::invalid_argument("from_sorted: input not sorted");
                     }
                 }
@@ -478,12 +486,8 @@ public:
         }
         if (NodeT* leaf = hints.get(HintKind::Lower)) {
             const unsigned n = leaf->num_elements.load();
-            // k inside the leaf's range => the answer is in the leaf. For
-            // multisets the left edge must be STRICT: if keys[0] == k, the
-            // first duplicate of k may live in an earlier leaf, and answering
-            // from this one would return a mid-run iterator (mirrors the
-            // strict right edge upper_bound uses for the symmetric reason).
-            if (n > 0 && leaf_edge_lt(leaf, n, k, /*strict_left=*/AllowDuplicates) &&
+            // k inside the leaf's range => the answer is in the leaf.
+            if (n > 0 && leaf_edge_le(leaf, k) &&
                 leaf_edge_ge(leaf, n, k, /*strict_right=*/false)) {
                 hints.stats.hit(HintKind::Lower);
                 unsigned pos;
@@ -519,12 +523,9 @@ public:
                 }
                 return best;
             }
-            if constexpr (!AllowDuplicates) {
-                // An equal separator IS the lower bound; for multisets the
-                // first duplicate may live in the left subtree, so descend.
-                if (pos < n && comp_.equal(cur->keys[pos], k)) {
-                    return make_iter(cur, pos);
-                }
+            // An equal separator IS the lower bound.
+            if (pos < n && comp_.equal(cur->keys[pos], k)) {
+                return make_iter(cur, pos);
             }
             if (pos < n) best = make_iter(cur, pos);
             const NodeT* next = cur->as_inner()->children[pos].load();
@@ -548,7 +549,7 @@ public:
         if (NodeT* leaf = hints.get(HintKind::Upper)) {
             const unsigned n = leaf->num_elements.load();
             // need k < last key so the strictly-greater element is local
-            if (n > 0 && leaf_edge_lt(leaf, n, k, /*strict_left=*/false) &&
+            if (n > 0 && leaf_edge_le(leaf, k) &&
                 leaf_edge_ge(leaf, n, k, /*strict_right=*/true)) {
                 hints.stats.hit(HintKind::Upper);
                 unsigned pos;
@@ -897,16 +898,6 @@ private:
                 if (n <= BlockSize) {
                     out.n = n;
                     out.inner = node->inner;
-                    // v2 leaves: capture the append-zone watermark under the
-                    // same lease; the private copy is merge-sorted AFTER
-                    // validation (view_lower needs sorted keys).
-                    unsigned sorted = n;
-                    if constexpr (WithFingerprints) {
-                        if (!node->inner) {
-                            sorted = node->fp_sorted();
-                            if (sorted > n) sorted = n; // torn; retry below
-                        }
-                    }
                     for (unsigned i = 0; i < n; ++i) {
                         out.keys[i] = Access::load(node->keys[i]);
                     }
@@ -916,14 +907,7 @@ private:
                             out.children[i] = in->children[i].load();
                         }
                     }
-                    if (node->lock.validate(lease)) {
-                        if constexpr (WithFingerprints) {
-                            if (!out.inner && sorted < out.n) {
-                                sort_tail(out.keys, sorted, out.n);
-                            }
-                        }
-                        return;
-                    }
+                    if (node->lock.validate(lease)) return;
                 }
                 continue; // torn read or writer interleaved: retry
             }
@@ -1032,13 +1016,8 @@ private:
                 if (pos < v.n) return v.keys[pos];
                 return best;
             }
-            if constexpr (!AllowDuplicates) {
-                // An equal separator is the answer for sets; multisets must
-                // keep descending for the leftmost duplicate.
-                if (pos < v.n && comp_.equal(v.keys[pos], k)) {
-                    return v.keys[pos];
-                }
-            }
+            // An equal separator is the answer.
+            if (pos < v.n && comp_.equal(v.keys[pos], k)) return v.keys[pos];
             if (pos < v.n) best = v.keys[pos];
             cur = v.children[pos];
         }
@@ -1086,15 +1065,6 @@ private:
                 img.n = n;
                 img.inner = node->inner;
                 for (unsigned i = 0; i < n; ++i) img.keys[i] = node->keys[i];
-                // v2 leaves retain the MERGED (sorted) image: snapshot
-                // readers binary-search images, and the logical content is
-                // unchanged.
-                if constexpr (WithFingerprints) {
-                    if (!node->inner) {
-                        const unsigned s = node->fp_sorted();
-                        if (s < n) sort_tail(img.keys, s, n);
-                    }
-                }
                 img.next = node->snap.versions.load();
             };
             ImageT* img;
@@ -1217,12 +1187,10 @@ private:
                 if (!cur->inner) break;
             }
             const unsigned n = cur->num_elements.load();
-            pos = search_pos(cur, n, k);
-            if constexpr (!AllowDuplicates) {
-                if (pos < n && comp_.equal(cur->keys[pos], k)) {
-                    if (!cur->inner) hints.set(HintKind::Insert, cur);
-                    return false;
-                }
+            pos = detail::node_lower<Search, SeqAccess>(cur, n, k, comp_);
+            if (pos < n && comp_.equal(cur->keys[pos], k)) {
+                if (!cur->inner) hints.set(HintKind::Insert, cur);
+                return false;
             }
             if (!cur->inner) break;
             NodeT* next = cur->as_inner()->children[pos].load();
@@ -1231,11 +1199,9 @@ private:
         }
 
         if constexpr (WithFingerprints) {
-            if constexpr (!AllowDuplicates) {
-                if (leaf_fp_find(cur, cur->num_elements.load(), k) >= 0) {
-                    hints.set(HintKind::Insert, cur);
-                    return false;
-                }
+            if (leaf_fp_find(cur, cur->num_elements.load(), k) >= 0) {
+                hints.set(HintKind::Insert, cur);
+                return false;
             }
         }
 
@@ -1346,14 +1312,13 @@ private:
                 }
             }
             const unsigned n = cur->num_elements.load();
-            const unsigned pos = search_pos_racy(cur, n, k);
-            if constexpr (!AllowDuplicates) {
-                // Early containment check (line 22).
-                if (pos < n && Access::compare(comp_, cur->keys[pos], k) == 0) {
-                    if (!cur->lock.validate(cur_lease)) return std::nullopt;
-                    if (!cur->inner) hints.set(HintKind::Insert, cur);
-                    return false;
-                }
+            const unsigned pos =
+                detail::node_lower<Search, Access>(cur, n, k, comp_);
+            // Early containment check (line 22).
+            if (pos < n && Access::compare(comp_, cur->keys[pos], k) == 0) {
+                if (!cur->lock.validate(cur_lease)) return std::nullopt;
+                if (!cur->inner) hints.set(HintKind::Insert, cur);
+                return false;
             }
             if (cur->inner) {
                 NodeT* next = cur->as_inner()->children[pos].load();
@@ -1400,18 +1365,16 @@ private:
         // search; a stale guess is validated (racily — the upgrade below
         // re-validates the lease, restoring Alg. 1's guarantees) and at
         // worst falls back to the full search.
-        const unsigned pos =
-            search_pos_racy_hinted(leaf, n, k, hints.slots.get(HintKind::Insert));
-        if constexpr (!AllowDuplicates) {
-            if (pos < n && Access::compare(comp_, leaf->keys[pos], k) == 0) {
-                if (!leaf->lock.validate(lease)) return LeafResult::Retry;
-                // Duplicate inserts are the common case in Datalog (semi-naïve
-                // evaluation re-derives tuples constantly); remember the leaf
-                // so the next nearby duplicate skips the traversal too.
-                hints.set(HintKind::Insert, leaf);
-                hints.slots.set(HintKind::Insert, pos);
-                return LeafResult::Duplicate;
-            }
+        const unsigned pos = detail::node_lower_hinted<Search, Access>(
+            leaf, n, k, comp_, hints.slots.get(HintKind::Insert));
+        if (pos < n && Access::compare(comp_, leaf->keys[pos], k) == 0) {
+            if (!leaf->lock.validate(lease)) return LeafResult::Retry;
+            // Duplicate inserts are the common case in Datalog (semi-naïve
+            // evaluation re-derives tuples constantly); remember the leaf
+            // so the next nearby duplicate skips the traversal too.
+            hints.set(HintKind::Insert, leaf);
+            hints.slots.set(HintKind::Insert, pos);
+            return LeafResult::Duplicate;
         }
         // Fault injection: widen the window between the racy (n, pos)
         // snapshot above and the upgrade below — exactly what the upgrade's
@@ -1449,12 +1412,10 @@ private:
                               const Key& k, operation_hints& hints)
         requires WithFingerprints
     {
-        if constexpr (!AllowDuplicates) {
-            if (leaf_fp_find(leaf, n, k) >= 0) {
-                if (!leaf->lock.validate(lease)) return LeafResult::Retry;
-                hints.set(HintKind::Insert, leaf);
-                return LeafResult::Duplicate;
-            }
+        if (leaf_fp_find(leaf, n, k) >= 0) {
+            if (!leaf->lock.validate(lease)) return LeafResult::Retry;
+            hints.set(HintKind::Insert, leaf);
+            return LeafResult::Duplicate;
         }
         DTREE_FAILPOINT_DELAY(upgrade_delay);
         if (!leaf->lock.try_upgrade_to_write(lease)) return LeafResult::Retry;
@@ -1672,9 +1633,9 @@ private:
     /// the caller holds EXCLUSIVE access (write lock / seq policy). Stops at
     /// the first key that is out of order, beyond the bound `hi` (exclusive
     /// unless hi_inclusive), or that no longer fits. In-tree duplicates are
-    /// consumed without insertion for sets — including keys equal to an
-    /// exclusive `hi`, because in this classic B-tree a separator IS an
-    /// element of the set. Sets need_split when input is still pending and
+    /// consumed without insertion — including keys equal to an exclusive
+    /// `hi`, because in this classic B-tree a separator IS an element of the
+    /// set. It reports need_split when input is still pending and
     /// the leaf is (or just became) exactly full, which is precisely the
     /// split precondition. Returns the first unconsumed iterator; consumes at
     /// least one key unless it requests a split.
@@ -1703,37 +1664,29 @@ private:
             if (hi) {
                 const int c = comp_(k, *hi);
                 if (hi_inclusive ? c > 0 : c >= 0) {
-                    if constexpr (!AllowDuplicates) {
-                        if (!hi_inclusive && c == 0) {
-                            // Equal to the ancestor separator => already an
-                            // element of the set: consume, don't insert.
-                            ++first;
-                            ++consumed;
-                            prev = k;
-                            have_prev = true;
-                            continue;
-                        }
+                    if (!hi_inclusive && c == 0) {
+                        // Equal to the ancestor separator => already an
+                        // element of the set: consume, don't insert.
+                        ++first;
+                        ++consumed;
+                        prev = k;
+                        have_prev = true;
+                        continue;
                     }
                     break; // key belongs beyond this leaf
                 }
             }
-            // Stage existing keys preceding k. Multisets also stage equal
-            // keys first, preserving the existing-before-incoming order the
-            // point-insert path (upper-bound search) produces.
-            while (i < n) {
-                const int c = comp_(leaf->keys[i], k); // exclusive: plain read
-                if (AllowDuplicates ? c > 0 : c >= 0) break;
+            // Stage existing keys preceding k.
+            while (i < n && comp_(leaf->keys[i], k) < 0) { // exclusive: plain read
                 buf[nb++] = leaf->keys[i++];
             }
-            if constexpr (!AllowDuplicates) {
-                if ((i < n && comp_.equal(leaf->keys[i], k)) ||
-                    (nb > 0 && comp_.equal(buf[nb - 1], k))) {
-                    ++first; // duplicate of an existing or just-admitted key
-                    ++consumed;
-                    prev = k;
-                    have_prev = true;
-                    continue;
-                }
+            if ((i < n && comp_.equal(leaf->keys[i], k)) ||
+                (nb > 0 && comp_.equal(buf[nb - 1], k))) {
+                ++first; // duplicate of an existing or just-admitted key
+                ++consumed;
+                prev = k;
+                have_prev = true;
+                continue;
             }
             if (taken == room) {
                 need_split = true; // pending input, full leaf after write-back
@@ -1786,7 +1739,7 @@ private:
             if (have_prev) {
                 const int c = comp_(prev, k);
                 if (c > 0) break; // out of order: next segment re-descends
-                if (!AllowDuplicates && c == 0) {
+                if (c == 0) {
                     ++first;
                     ++consumed;
                     continue;
@@ -1878,7 +1831,8 @@ private:
         bool has_hi = false;
         for (;;) {
             const unsigned n = cur->num_elements.load();
-            const unsigned pos = search_pos_racy(cur, n, k);
+            const unsigned pos =
+                detail::node_lower<Search, Access>(cur, n, k, comp_);
             if (cur->inner) {
                 // Copy the separator BEFORE validating; commit it after.
                 // Descending right of all keys (pos == n) keeps the
@@ -1948,7 +1902,7 @@ private:
                 if (have_prev) {
                     const int c = comp_(prev, k);
                     if (c > 0) break;
-                    if (!AllowDuplicates && c == 0) {
+                    if (c == 0) {
                         ++first;
                         ++consumed;
                         continue;
@@ -1995,7 +1949,8 @@ private:
         bool has_hi = false;
         for (;;) {
             const unsigned n = cur->num_elements.load();
-            const unsigned pos = search_pos(cur, n, k);
+            const unsigned pos =
+                detail::node_lower<Search, SeqAccess>(cur, n, k, comp_);
             if (!cur->inner) break;
             if (pos < n) {
                 hi = cur->keys[pos];
@@ -2048,11 +2003,9 @@ private:
         }
     }
 
-    /// Left-edge test for the bound-query hint paths (phase reads): smallest
-    /// leaf key < k (strict) or <= k. (`n` is for signature symmetry with
-    /// leaf_edge_ge; the left edge never needs it.)
-    bool leaf_edge_lt(const NodeT* leaf, [[maybe_unused]] unsigned n,
-                      const Key& k, bool strict_left) const {
+    /// Left-edge test for the bound-query hint paths (phase reads):
+    /// smallest leaf key <= k.
+    bool leaf_edge_le(const NodeT* leaf, const Key& k) const {
         const Key& lo = [&]() -> const Key& {
             if constexpr (WithFingerprints) {
                 return leaf->fpst.min_key;
@@ -2060,8 +2013,7 @@ private:
                 return leaf->keys[0];
             }
         }();
-        const int c = comp_(lo, k);
-        return strict_left ? c < 0 : c <= 0;
+        return comp_(lo, k) <= 0;
     }
 
     /// Right-edge test: k < largest leaf key (strict) or <= it.
@@ -2282,38 +2234,6 @@ private:
         }
     }
 
-    /// In-node search position: lower bound for sets (duplicates rejected),
-    /// upper bound for multisets (duplicates cluster to the right).
-    unsigned search_pos(const NodeT* node, unsigned n, const Key& k) const {
-        if constexpr (AllowDuplicates) {
-            return detail::node_upper<Search, SeqAccess>(node, n, k, comp_);
-        } else {
-            return detail::node_lower<Search, SeqAccess>(node, n, k, comp_);
-        }
-    }
-
-    unsigned search_pos_racy(const NodeT* node, unsigned n, const Key& k) const {
-        if constexpr (AllowDuplicates) {
-            return detail::node_upper<Search, Access>(node, n, k, comp_);
-        } else {
-            return detail::node_lower<Search, Access>(node, n, k, comp_);
-        }
-    }
-
-    /// search_pos_racy with a predicted slot (core/hints.h SlotHints): two
-    /// boundary comparisons verify the guess, a failed guess degrades to the
-    /// full in-node search.
-    unsigned search_pos_racy_hinted(const NodeT* node, unsigned n, const Key& k,
-                                    std::uint32_t guess) const {
-        if constexpr (AllowDuplicates) {
-            return detail::node_upper_hinted<Search, Access>(node, n, k, comp_,
-                                                             guess);
-        } else {
-            return detail::node_lower_hinted<Search, Access>(node, n, k, comp_,
-                                                             guess);
-        }
-    }
-
     static std::size_t count_subtree(const NodeT* n) {
         if (!n) return 0;
         std::size_t total = n->num_elements.load();
@@ -2350,17 +2270,14 @@ private:
         const unsigned s = n->fp_sorted();
         if (s > cnt) return "sorted watermark beyond count";
         for (unsigned i = 0; i + 1 < s; ++i) {
-            const int c = comp_(n->keys[i], n->keys[i + 1]);
-            if (c > 0 || (!AllowDuplicates && c == 0)) {
+            if (comp_(n->keys[i], n->keys[i + 1]) >= 0) {
                 return "unsorted v2 leaf prefix";
             }
         }
-        if constexpr (!AllowDuplicates) {
-            for (unsigned i = 0; i < cnt; ++i) {
-                for (unsigned j = i + 1; j < cnt; ++j) {
-                    if (comp_.equal(n->keys[i], n->keys[j])) {
-                        return "duplicate key in v2 leaf";
-                    }
+        for (unsigned i = 0; i < cnt; ++i) {
+            for (unsigned j = i + 1; j < cnt; ++j) {
+                if (comp_.equal(n->keys[i], n->keys[j])) {
+                    return "duplicate key in v2 leaf";
                 }
             }
         }
@@ -2376,17 +2293,11 @@ private:
         }
         if (!comp_.equal(n->fpst.min_key, n->keys[mn])) return "stale cached min";
         if (!comp_.equal(n->fpst.max_key, n->keys[mx])) return "stale cached max";
-        if (lo) {
-            const int c = comp_(*lo, n->keys[mn]);
-            if (c > 0 || (!AllowDuplicates && c == 0)) {
-                return "key below subtree lower bound";
-            }
+        if (lo && comp_(*lo, n->keys[mn]) >= 0) {
+            return "key below subtree lower bound";
         }
-        if (hi) {
-            const int c = comp_(n->keys[mx], *hi);
-            if (c > 0 || (!AllowDuplicates && c == 0)) {
-                return "key above subtree upper bound";
-            }
+        if (hi && comp_(n->keys[mx], *hi) >= 0) {
+            return "key above subtree upper bound";
         }
         return {};
     }
@@ -2415,18 +2326,15 @@ private:
             }
         }
         for (unsigned i = 0; i + 1 < cnt; ++i) {
-            const int c = comp_(n->keys[i], n->keys[i + 1]);
-            if (c > 0 || (!AllowDuplicates && c == 0)) return "unsorted keys";
+            if (comp_(n->keys[i], n->keys[i + 1]) >= 0) return "unsorted keys";
         }
         // Separator bounds: child keys lie strictly between the surrounding
-        // separators for sets, weakly for multisets.
-        if (lo) {
-            const int c = comp_(*lo, n->keys[0]);
-            if (c > 0 || (!AllowDuplicates && c == 0)) return "key below subtree lower bound";
+        // separators.
+        if (lo && comp_(*lo, n->keys[0]) >= 0) {
+            return "key below subtree lower bound";
         }
-        if (hi) {
-            const int c = comp_(n->keys[cnt - 1], *hi);
-            if (c > 0 || (!AllowDuplicates && c == 0)) return "key above subtree upper bound";
+        if (hi && comp_(n->keys[cnt - 1], *hi) >= 0) {
+            return "key above subtree upper bound";
         }
         if (!n->inner) {
             if (leaf_depth == -1) leaf_depth = depth;
@@ -2511,48 +2419,24 @@ private:
 template <typename Key, typename Compare = ThreeWayComparator<Key>,
           unsigned BlockSize = detail::default_block_size<Key>(),
           typename Search = detail::DefaultSearch<Key, Compare, BlockSize>>
-using btree_set = btree<Key, Compare, BlockSize, Search, ConcurrentAccess, false>;
+using btree_set = btree<Key, Compare, BlockSize, Search, ConcurrentAccess>;
 
 /// "seq btree": identical structure, zero synchronisation cost.
 template <typename Key, typename Compare = ThreeWayComparator<Key>,
           unsigned BlockSize = detail::default_block_size<Key>(),
           typename Search = detail::DefaultSearch<Key, Compare, BlockSize>>
-using seq_btree_set = btree<Key, Compare, BlockSize, Search, SeqAccess, false>;
+using seq_btree_set = btree<Key, Compare, BlockSize, Search, SeqAccess>;
 
-/// Duplicate-preserving variants (Soufflé extension; not benchmarked in the
-/// paper but part of the deployed data structure family).
-template <typename Key, typename Compare = ThreeWayComparator<Key>,
-          unsigned BlockSize = detail::default_block_size<Key>(),
-          typename Search = detail::DefaultSearch<Key, Compare, BlockSize>>
-using btree_multiset = btree<Key, Compare, BlockSize, Search, ConcurrentAccess, true>;
-
-template <typename Key, typename Compare = ThreeWayComparator<Key>,
-          unsigned BlockSize = detail::default_block_size<Key>(),
-          typename Search = detail::DefaultSearch<Key, Compare, BlockSize>>
-using seq_btree_multiset = btree<Key, Compare, BlockSize, Search, SeqAccess, true>;
-
-/// Snapshot-enabled variants (DESIGN.md §11): the same tree plus the
+/// Snapshot-enabled set (DESIGN.md §11): the concurrent tree plus the
 /// epoch/Snapshot API. The plain aliases above stay bit-identical to the
 /// paper-faithful layout — their per-node SnapState is an empty member.
 template <typename Key, typename Compare = ThreeWayComparator<Key>,
           unsigned BlockSize = detail::default_block_size<Key>(),
           typename Search = detail::DefaultSearch<Key, Compare, BlockSize>>
 using snapshot_btree_set =
-    btree<Key, Compare, BlockSize, Search, ConcurrentAccess, false, true>;
+    btree<Key, Compare, BlockSize, Search, ConcurrentAccess, true>;
 
-template <typename Key, typename Compare = ThreeWayComparator<Key>,
-          unsigned BlockSize = detail::default_block_size<Key>(),
-          typename Search = detail::DefaultSearch<Key, Compare, BlockSize>>
-using snapshot_btree_multiset =
-    btree<Key, Compare, BlockSize, Search, ConcurrentAccess, true, true>;
-
-template <typename Key, typename Compare = ThreeWayComparator<Key>,
-          unsigned BlockSize = detail::default_block_size<Key>(),
-          typename Search = detail::DefaultSearch<Key, Compare, BlockSize>>
-using snapshot_seq_btree_set =
-    btree<Key, Compare, BlockSize, Search, SeqAccess, false, true>;
-
-/// Leaf-layout-v2 variants (DESIGN.md §15): per-leaf fingerprint arrays
+/// Leaf-layout-v2 set (DESIGN.md §15): per-leaf fingerprint arrays
 /// answering membership with SIMD byte compares, plus append-zone inserts
 /// that never shift elements. The plain aliases above stay bit-identical to
 /// the paper-faithful layout — their FpState is an empty member and every
@@ -2561,23 +2445,6 @@ template <typename Key, typename Compare = ThreeWayComparator<Key>,
           unsigned BlockSize = detail::default_block_size<Key>(),
           typename Search = detail::DefaultSearch<Key, Compare, BlockSize>>
 using fp_btree_set =
-    btree<Key, Compare, BlockSize, Search, ConcurrentAccess, false, false,
-          true>;
-
-template <typename Key, typename Compare = ThreeWayComparator<Key>,
-          unsigned BlockSize = detail::default_block_size<Key>(),
-          typename Search = detail::DefaultSearch<Key, Compare, BlockSize>>
-using fp_btree_multiset =
-    btree<Key, Compare, BlockSize, Search, ConcurrentAccess, true, false,
-          true>;
-
-/// v2 composed with snapshots (the policy-gating matrix in DESIGN.md §15;
-/// torture-tested in tests/torture_btree_test.cpp).
-template <typename Key, typename Compare = ThreeWayComparator<Key>,
-          unsigned BlockSize = detail::default_block_size<Key>(),
-          typename Search = detail::DefaultSearch<Key, Compare, BlockSize>>
-using fp_snapshot_btree_set =
-    btree<Key, Compare, BlockSize, Search, ConcurrentAccess, false, true,
-          true>;
+    btree<Key, Compare, BlockSize, Search, ConcurrentAccess, false, true>;
 
 } // namespace dtree

@@ -34,8 +34,10 @@ using Configs = ::testing::Types<
     dtree::seq_btree_set<Tuple<2>>,
     dtree::btree_set<Tuple<2>, dtree::ThreeWayComparator<Tuple<2>>, 4>,
     dtree::fp_btree_set<std::uint64_t>,
+    dtree::fp_btree_set<std::uint64_t, dtree::ThreeWayComparator<std::uint64_t>, 3>,
+    dtree::fp_btree_set<Tuple<2>>,
     dtree::snapshot_btree_set<std::uint64_t>,
-    dtree::fp_snapshot_btree_set<Tuple<2>>>;
+    dtree::snapshot_btree_set<Tuple<2>, dtree::ThreeWayComparator<Tuple<2>>, 3>>;
 
 TYPED_TEST_SUITE(BTreeBasicTest, Configs);
 
@@ -266,36 +268,6 @@ TYPED_TEST(BTreeBasicTest, StatsReportPlausibleShape) {
     EXPECT_GT(s.memory_bytes, 10000u * sizeof(typename TypeParam::key_type));
 }
 
-// Multiset variant keeps duplicates.
-TEST(BTreeMultiset, DuplicatesAreKept) {
-    dtree::btree_multiset<std::uint64_t> m;
-    EXPECT_TRUE(m.insert(5));
-    EXPECT_TRUE(m.insert(5));
-    EXPECT_TRUE(m.insert(5));
-    EXPECT_EQ(m.size(), 3u);
-    EXPECT_TRUE(m.check_invariants().empty()) << m.check_invariants();
-}
-
-TEST(BTreeMultiset, MatchesStdMultiset) {
-    dtree::btree_multiset<std::uint64_t, dtree::ThreeWayComparator<std::uint64_t>, 4> m;
-    std::multiset<std::uint64_t> ref;
-    dtree::util::Rng rng(42);
-    for (int i = 0; i < 3000; ++i) {
-        auto v = dtree::util::uniform_int<std::uint64_t>(rng, 0, 200);
-        m.insert(v);
-        ref.insert(v);
-    }
-    EXPECT_EQ(m.size(), ref.size());
-    EXPECT_TRUE(std::equal(m.begin(), m.end(), ref.begin(), ref.end()));
-    // lower_bound of a duplicated value must reach the first occurrence:
-    // distance from begin matches the reference container's.
-    for (std::uint64_t probe = 0; probe <= 200; probe += 7) {
-        auto d_ref = std::distance(ref.begin(), ref.lower_bound(probe));
-        auto d = std::distance(m.begin(), m.lower_bound(probe));
-        EXPECT_EQ(d, d_ref) << "probe " << probe;
-    }
-}
-
 // -- bulk load (from_sorted) -------------------------------------------------
 
 TEST(BulkLoad, EveryShapeSatisfiesInvariants) {
@@ -357,15 +329,6 @@ TEST(BulkLoad, TreeRemainsFullyFunctional) {
     });
     EXPECT_EQ(t.size(), 30000u);
     EXPECT_EQ(t.check_invariants(), "");
-}
-
-TEST(BulkLoad, MultisetKeepsDuplicates) {
-    std::vector<std::uint64_t> keys;
-    for (std::uint64_t i = 0; i < 5000; ++i) keys.push_back(i / 4); // 4 copies each
-    auto t = dtree::btree_multiset<std::uint64_t>::from_sorted(keys.begin(), keys.end());
-    EXPECT_EQ(t.check_invariants(), "");
-    EXPECT_EQ(t.size(), 5000u);
-    EXPECT_TRUE(std::equal(t.begin(), t.end(), keys.begin(), keys.end()));
 }
 
 // The default block size must scale with key size but never drop below 3.

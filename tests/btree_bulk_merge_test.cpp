@@ -2,9 +2,12 @@
 //
 // The contract under test: insert_sorted_run must leave the tree in EXACTLY
 // the state the naive point-insert loop produces — byte-identical iteration
-// order and intact structural invariants — across set/multiset semantics,
-// node sizes from the minimum to the default, and overlapping/disjoint/
-// interleaved key ranges. On top of equivalence, the suite pins down the
+// order and intact structural invariants — across the plain, sequential,
+// snapshot and fingerprint trees, node sizes from the minimum to the
+// default, and overlapping/disjoint/interleaved/weakly-sorted key ranges.
+// On snapshot trees a pin taken before the merge must still read the
+// pre-merge contents (the serve commit path). On top of equivalence, the
+// suite pins down the
 // three behaviours the bulk path exists for: the unconditional from_sorted
 // validation (regression: it used to be assert-only and vanished in release
 // builds), the amortisation (hint/probe counts collapse versus the point
@@ -20,6 +23,7 @@
 #include <random>
 #include <stdexcept>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 namespace {
@@ -42,8 +46,9 @@ void point_insert_all(Tree& t, const std::vector<std::uint64_t>& keys) {
 }
 
 /// Key-range shapes the merge has to survive: the run entirely above /
-/// below / interleaved with / duplicating the destination.
-std::vector<std::vector<std::uint64_t>> run_shapes(bool weakly_sorted) {
+/// below / interleaved with / duplicating the destination, and a weakly
+/// sorted run whose equal neighbours must be deduplicated.
+std::vector<std::vector<std::uint64_t>> run_shapes() {
     std::vector<std::vector<std::uint64_t>> shapes;
     // Disjoint above.
     {
@@ -69,8 +74,8 @@ std::vector<std::vector<std::uint64_t>> run_shapes(bool weakly_sorted) {
         for (std::uint64_t k = 1001; k < 1800; k += 2) v.push_back(k);
         shapes.push_back(v);
     }
-    if (weakly_sorted) {
-        // Weakly sorted (runs of equal keys) — multiset shape.
+    // Weakly sorted (runs of equal keys).
+    {
         std::vector<std::uint64_t> v;
         for (std::uint64_t k = 500; k < 900; ++k) {
             v.push_back(k / 3);
@@ -90,11 +95,18 @@ std::vector<std::uint64_t> dest_keys() {
 }
 
 template <typename Tree>
-void check_equivalence(bool weakly_sorted) {
-    for (const auto& run : run_shapes(weakly_sorted)) {
+void check_equivalence() {
+    for (const auto& run : run_shapes()) {
         Tree bulk, naive;
         point_insert_all(bulk, dest_keys());
         point_insert_all(naive, dest_keys());
+        const auto before = contents(bulk);
+        std::conditional_t<Tree::with_snapshots, typename Tree::Snapshot, int>
+            pin{};
+        if constexpr (Tree::with_snapshots) {
+            bulk.advance_epoch();
+            pin = bulk.snapshot();
+        }
 
         auto h = bulk.create_hints();
         bulk.insert_sorted_run(run.begin(), run.end(), h);
@@ -104,6 +116,16 @@ void check_equivalence(bool weakly_sorted) {
         ASSERT_EQ(contents(bulk), contents(naive))
             << "bulk merge diverged from the point-insert loop";
         ASSERT_EQ(bulk.size(), naive.size());
+        if constexpr (Tree::with_snapshots) {
+            std::vector<std::uint64_t> pinned;
+            pin.for_each([&](const std::uint64_t& k) { pinned.push_back(k); });
+            ASSERT_EQ(pinned, before) << "the merge leaked into an older pin";
+            bulk.advance_epoch();
+            std::vector<std::uint64_t> fresh;
+            bulk.snapshot().for_each(
+                [&](const std::uint64_t& k) { fresh.push_back(k); });
+            ASSERT_EQ(fresh, contents(naive)) << "a new pin misses the merge";
+        }
     }
 }
 
@@ -114,33 +136,28 @@ template <unsigned B>
 using SeqSetB = dtree::seq_btree_set<std::uint64_t,
                                      dtree::ThreeWayComparator<std::uint64_t>, B>;
 template <unsigned B>
-using MultiB = dtree::btree_multiset<std::uint64_t,
-                                     dtree::ThreeWayComparator<std::uint64_t>, B>;
+using SnapB = dtree::snapshot_btree_set<std::uint64_t,
+                                        dtree::ThreeWayComparator<std::uint64_t>, B>;
 template <unsigned B>
-using SeqMultiB =
-    dtree::seq_btree_multiset<std::uint64_t,
-                              dtree::ThreeWayComparator<std::uint64_t>, B>;
+using FpB = dtree::fp_btree_set<std::uint64_t,
+                                dtree::ThreeWayComparator<std::uint64_t>, B>;
 
-TEST(BulkMergeEquivalence, SetBlock3) { check_equivalence<SetB<3>>(false); }
-TEST(BulkMergeEquivalence, SetBlock4) { check_equivalence<SetB<4>>(false); }
-TEST(BulkMergeEquivalence, SetBlock5) { check_equivalence<SetB<5>>(false); }
+TEST(BulkMergeEquivalence, SetBlock3) { check_equivalence<SetB<3>>(); }
+TEST(BulkMergeEquivalence, SetBlock4) { check_equivalence<SetB<4>>(); }
+TEST(BulkMergeEquivalence, SetBlock5) { check_equivalence<SetB<5>>(); }
 TEST(BulkMergeEquivalence, SetDefault) {
-    check_equivalence<dtree::btree_set<std::uint64_t>>(false);
+    check_equivalence<dtree::btree_set<std::uint64_t>>();
 }
-TEST(BulkMergeEquivalence, SeqSetBlock3) { check_equivalence<SeqSetB<3>>(false); }
-TEST(BulkMergeEquivalence, SeqSetBlock5) { check_equivalence<SeqSetB<5>>(false); }
+TEST(BulkMergeEquivalence, SeqSetBlock3) { check_equivalence<SeqSetB<3>>(); }
+TEST(BulkMergeEquivalence, SeqSetBlock5) { check_equivalence<SeqSetB<5>>(); }
 TEST(BulkMergeEquivalence, SeqSetDefault) {
-    check_equivalence<dtree::seq_btree_set<std::uint64_t>>(false);
+    check_equivalence<dtree::seq_btree_set<std::uint64_t>>();
 }
-TEST(BulkMergeEquivalence, MultisetBlock3) { check_equivalence<MultiB<3>>(true); }
-TEST(BulkMergeEquivalence, MultisetBlock4) { check_equivalence<MultiB<4>>(true); }
-TEST(BulkMergeEquivalence, MultisetBlock5) { check_equivalence<MultiB<5>>(true); }
-TEST(BulkMergeEquivalence, MultisetDefault) {
-    check_equivalence<dtree::btree_multiset<std::uint64_t>>(true);
-}
-TEST(BulkMergeEquivalence, SeqMultisetBlock3) {
-    check_equivalence<SeqMultiB<3>>(true);
-}
+TEST(BulkMergeEquivalence, SnapshotBlock3) { check_equivalence<SnapB<3>>(); }
+TEST(BulkMergeEquivalence, SnapshotBlock4) { check_equivalence<SnapB<4>>(); }
+TEST(BulkMergeEquivalence, SnapshotBlock5) { check_equivalence<SnapB<5>>(); }
+TEST(BulkMergeEquivalence, FpBlock3) { check_equivalence<FpB<3>>(); }
+TEST(BulkMergeEquivalence, FpBlock4) { check_equivalence<FpB<4>>(); }
 
 TEST(BulkMergeEquivalence, EmptyDestinationUsesRootInit) {
     std::vector<std::uint64_t> run;
@@ -246,14 +263,6 @@ TEST(FromSortedValidation, DuplicateKeysThrowForSets) {
     const std::vector<std::uint64_t> dup{1, 2, 2, 3};
     using Tree = dtree::btree_set<std::uint64_t>;
     EXPECT_THROW(Tree::from_sorted(dup.begin(), dup.end()), std::invalid_argument);
-}
-
-TEST(FromSortedValidation, DuplicateKeysAcceptedForMultisets) {
-    const std::vector<std::uint64_t> dup{1, 2, 2, 3};
-    using Tree = dtree::btree_multiset<std::uint64_t>;
-    auto t = Tree::from_sorted(dup.begin(), dup.end());
-    EXPECT_EQ(t.check_invariants(), "");
-    EXPECT_EQ(t.size(), 4u);
 }
 
 TEST(FromSortedValidation, StreamLengthMismatchThrows) {

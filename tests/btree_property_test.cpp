@@ -1,6 +1,6 @@
 // Property-based differential tests: the B-tree must behave exactly like
-// std::set / std::multiset under long random operation sequences, across
-// block sizes, search policies, access modes, leaf layouts and workload
+// std::set under long random operation sequences, across block sizes,
+// search policies, access modes, leaf layouts, snapshot trees and workload
 // patterns — with structural invariants checked along the way. These
 // parameterised sweeps are the backbone of the suite's confidence.
 
@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <set>
+#include <type_traits>
 #include <vector>
 
 namespace {
@@ -86,6 +87,11 @@ void run_set_differential(const Case& c) {
     const auto seq = make_sequence(c.pattern, c.n, c.seed);
     Tree tree;
     std::set<std::uint64_t> ref;
+    // Snapshot trees also pin the half-way state; the pin must still read
+    // exactly that state once the second half has gone in.
+    std::conditional_t<Tree::with_snapshots, typename Tree::Snapshot, int>
+        half_pin{};
+    std::vector<std::uint64_t> half_ref;
     auto hints = tree.create_hints();
     std::size_t step = 0;
     for (const auto v : seq) {
@@ -95,10 +101,22 @@ void run_set_differential(const Case& c) {
         if (++step % 1024 == 0) {
             ASSERT_EQ(tree.check_invariants(), "") << "after " << step << " ops";
         }
+        if constexpr (Tree::with_snapshots) {
+            if (step == seq.size() / 2) {
+                tree.advance_epoch();
+                half_pin = tree.snapshot();
+                half_ref.assign(ref.begin(), ref.end());
+            }
+        }
     }
     ASSERT_EQ(tree.check_invariants(), "");
     ASSERT_EQ(tree.size(), ref.size());
     EXPECT_TRUE(std::equal(tree.begin(), tree.end(), ref.begin(), ref.end()));
+    if constexpr (Tree::with_snapshots) {
+        std::vector<std::uint64_t> got;
+        half_pin.for_each([&](const std::uint64_t& k) { got.push_back(k); });
+        EXPECT_EQ(got, half_ref) << "half-way pin drifted";
+    }
 
     // Exhaustive bound agreement on a probe grid.
     auto qh = tree.create_hints();
@@ -162,42 +180,22 @@ TEST_P(SetDifferential, Fingerprints) {
     run_set_differential<dtree::fp_btree_set<std::uint64_t>>(GetParam());
 }
 
-INSTANTIATE_TEST_SUITE_P(Patterns, SetDifferential, kAllCases, case_name);
-
-// -- multiset semantics ----------------------------------------------------------
-
-template <typename Tree>
-void run_multiset_differential(const Case& c) {
-    const auto seq = make_sequence(c.pattern, c.n, c.seed);
-    Tree tree;
-    std::multiset<std::uint64_t> ref;
-    auto hints = tree.create_hints();
-    for (const auto v : seq) {
-        ref.insert(v);
-        ASSERT_TRUE(c.hinted ? tree.insert(v, hints) : tree.insert(v));
-    }
-    ASSERT_EQ(tree.check_invariants(), "");
-    ASSERT_EQ(tree.size(), ref.size());
-    EXPECT_TRUE(std::equal(tree.begin(), tree.end(), ref.begin(), ref.end()));
-}
-
-class MultisetDifferential : public ::testing::TestWithParam<Case> {};
-
-TEST_P(MultisetDifferential, ConcurrentDefault) {
-    run_multiset_differential<dtree::btree_multiset<std::uint64_t>>(GetParam());
-}
-
-TEST_P(MultisetDifferential, ConcurrentTinyBlock) {
-    run_multiset_differential<
-        dtree::btree_multiset<std::uint64_t, dtree::ThreeWayComparator<std::uint64_t>, 4>>(
+TEST_P(SetDifferential, FingerprintsTinyBlock) {
+    run_set_differential<
+        dtree::fp_btree_set<std::uint64_t, dtree::ThreeWayComparator<std::uint64_t>, 3>>(
         GetParam());
 }
 
-TEST_P(MultisetDifferential, Sequential) {
-    run_multiset_differential<dtree::seq_btree_multiset<std::uint64_t>>(GetParam());
+TEST_P(SetDifferential, SnapshotDefaultBlock) {
+    run_set_differential<dtree::snapshot_btree_set<std::uint64_t>>(GetParam());
 }
 
-INSTANTIATE_TEST_SUITE_P(Patterns, MultisetDifferential, kAllCases, case_name);
+TEST_P(SetDifferential, SnapshotTinyBlock) {
+    run_set_differential<dtree::snapshot_btree_set<
+        std::uint64_t, dtree::ThreeWayComparator<std::uint64_t>, 3>>(GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(Patterns, SetDifferential, kAllCases, case_name);
 
 // -- interleaved insert/query differential with shared hints ----------------------
 

@@ -1,14 +1,14 @@
 // Search-policy equivalence suite: LinearSearch and BinarySearch must be
 // observationally identical — same lower_bound / upper_bound / contains
-// answers, same iteration order — on sets and multisets, across tiny and
-// default block sizes, under key distributions with heavy first-column
-// duplication and scalar keys straddling the sign bit.
+// answers, same iteration order — across tiny and default block sizes,
+// under key distributions with heavy first-column duplication and scalar
+// keys straddling the sign bit.
 //
 // The Fp* tests extend the same equivalence contract to leaf layout v2
 // (WithFingerprints, DESIGN.md §15): fingerprint membership + append-zone
 // leaves must answer every query identically to the sorted v1 layout and
-// iterate byte-for-byte the same, across sets/multisets, tiny and default
-// blocks, append-zone boundary fills, and adversarial fingerprint-byte
+// iterate byte-for-byte the same, across tiny and default blocks,
+// append-zone boundary fills, and adversarial fingerprint-byte
 // collisions (where every probe nominates slots that full-key verification
 // must reject).
 //
@@ -71,14 +71,12 @@ std::vector<std::uint64_t> scalar_keys(std::size_t n, unsigned seed) {
 /// Instantiates the tree with each policy, applies the same inserts, and
 /// compares every probe's lower_bound/upper_bound/contains answer *by value*
 /// plus the full iteration order byte-for-byte.
-template <typename Key, unsigned BlockSize, bool Multi>
+template <typename Key, unsigned BlockSize>
 void check_policy_equivalence(const std::vector<Key>& keys,
                               const std::vector<Key>& probes) {
     using C = ThreeWayComparator<Key>;
-    using Lin = dtree::btree<Key, C, BlockSize, detail::LinearSearch,
-                             dtree::ConcurrentAccess, Multi>;
-    using Bin = dtree::btree<Key, C, BlockSize, detail::BinarySearch,
-                             dtree::ConcurrentAccess, Multi>;
+    using Lin = dtree::btree_set<Key, C, BlockSize, detail::LinearSearch>;
+    using Bin = dtree::btree_set<Key, C, BlockSize, detail::BinarySearch>;
     Lin lin;
     Bin bin;
     auto hl = lin.create_hints();
@@ -97,7 +95,6 @@ void check_policy_equivalence(const std::vector<Key>& keys,
     std::vector<Key> seq_bin(bin.begin(), bin.end());
     ASSERT_EQ(seq_lin, seq_bin);
 
-    C comp;
     auto value_at = [&](const auto& tree, auto it) {
         return it == tree.end() ? std::optional<Key>{} : std::optional<Key>{*it};
     };
@@ -108,20 +105,6 @@ void check_policy_equivalence(const std::vector<Key>& keys,
                   value_at(bin, bin.lower_bound(p, hb)));
         ASSERT_EQ(value_at(lin, lin.upper_bound(p, hl)),
                   value_at(bin, bin.upper_bound(p, hb)));
-        // Duplicate-run boundaries: a multiset lower_bound must land on the
-        // FIRST duplicate, so the distance to upper_bound equals the
-        // multiplicity under every policy.
-        if constexpr (Multi) {
-            const auto dl = std::distance(lin.lower_bound(p, hl),
-                                          lin.upper_bound(p, hl));
-            const auto db = std::distance(bin.lower_bound(p, hb),
-                                          bin.upper_bound(p, hb));
-            ASSERT_EQ(dl, db);
-            const auto expect = std::count_if(
-                seq_lin.begin(), seq_lin.end(),
-                [&](const Key& k) { return comp.equal(k, p); });
-            ASSERT_EQ(dl, expect);
-        }
     }
 }
 
@@ -149,46 +132,24 @@ std::vector<Key> probe_mix(const std::vector<Key>& keys) {
 TEST(SearchEquivalence, TupleSetTinyBlocks) {
     const auto keys = tie_heavy_points(4000, 1);
     const auto probes = probe_mix(keys);
-    check_policy_equivalence<Point, 3, false>(keys, probes);
-    check_policy_equivalence<Point, 4, false>(keys, probes);
-    check_policy_equivalence<Point, 5, false>(keys, probes);
+    check_policy_equivalence<Point, 3>(keys, probes);
+    check_policy_equivalence<Point, 4>(keys, probes);
+    check_policy_equivalence<Point, 5>(keys, probes);
 }
 
 TEST(SearchEquivalence, TupleSetDefaultBlock) {
     const auto keys = tie_heavy_points(6000, 2);
-    check_policy_equivalence<Point, detail::default_block_size<Point>(), false>(
+    check_policy_equivalence<Point, detail::default_block_size<Point>()>(
         keys, probe_mix(keys));
-}
-
-TEST(SearchEquivalence, TupleMultisetHeavyDuplicates) {
-    auto keys = tie_heavy_points(1500, 3);
-    // Triple every 5th key: genuine multiset duplicates on top of the
-    // first-column ties.
-    const std::size_t base = keys.size();
-    for (std::size_t i = 0; i < base; i += 5) {
-        keys.push_back(keys[i]);
-        keys.push_back(keys[i]);
-    }
-    const auto probes = probe_mix(keys);
-    check_policy_equivalence<Point, 3, true>(keys, probes);
-    check_policy_equivalence<Point, detail::default_block_size<Point>(), true>(
-        keys, probes);
 }
 
 TEST(SearchEquivalence, ScalarSetSignBitBoundary) {
     const auto keys = scalar_keys(4000, 4);
     const auto probes = probe_mix(keys);
-    check_policy_equivalence<std::uint64_t, 3, false>(keys, probes);
+    check_policy_equivalence<std::uint64_t, 3>(keys, probes);
     check_policy_equivalence<std::uint64_t,
-                             detail::default_block_size<std::uint64_t>(), false>(
+                             detail::default_block_size<std::uint64_t>()>(
         keys, probes);
-}
-
-TEST(SearchEquivalence, ScalarMultiset) {
-    auto keys = scalar_keys(1000, 5);
-    const std::size_t base = keys.size();
-    for (std::size_t i = 0; i < base; i += 3) keys.push_back(keys[i]);
-    check_policy_equivalence<std::uint64_t, 4, true>(keys, probe_mix(keys));
 }
 
 // ---------------------------------------------------------------------------
@@ -253,8 +214,9 @@ TEST(SearchEquivalence, NodeBoundariesScalarU64) {
 
 TEST(SearchEquivalence, NodeBoundariesTupleWithTies) {
     std::vector<Point> keys;
-    // Multiset-shaped node: every tuple appears twice and first columns
-    // repeat, so every probe lands in a tie range and a duplicate run.
+    // Duplicate-laden node: every tuple appears twice and first columns
+    // repeat, so every probe lands in a tie range and a run of equal keys
+    // (the kernels' lower/upper contract, independent of the set tree).
     for (unsigned i = 0; i < 32; ++i) keys.push_back(Point{i / 4, i / 2 % 2});
     for (unsigned n : kBoundarySizes) {
         check_node_boundaries<detail::LinearSearch, Point, 24>(n, keys);
@@ -341,25 +303,19 @@ TEST(SearchEquivalence, SortedRunAndFromSortedWideBlock) {
 
 /// The v2 tree under test: fingerprint leaves on top of the default
 /// in-node search (the configuration `--fingerprints` selects everywhere).
-template <typename Key, unsigned BlockSize, bool Multi>
-using FpTree = dtree::btree<
-    Key, ThreeWayComparator<Key>, BlockSize,
-    detail::DefaultSearch<Key, ThreeWayComparator<Key>, BlockSize>,
-    dtree::ConcurrentAccess, Multi, /*WithSnapshots=*/false,
-    /*WithFingerprints=*/true>;
+template <typename Key, unsigned BlockSize>
+using FpTree = dtree::fp_btree_set<Key, ThreeWayComparator<Key>, BlockSize>;
 
 /// Applies the same inserts to a v1 reference tree and a v2 fingerprint tree
 /// and demands identical observable behaviour: insert verdicts, sizes,
 /// byte-identical iteration, every probe's contains / lower_bound /
-/// upper_bound answer, contains ≡ (find != end) on BOTH trees, and multiset
-/// duplicate-run widths.
-template <typename Key, unsigned BlockSize, bool Multi>
+/// upper_bound answer, and contains ≡ (find != end) on BOTH trees.
+template <typename Key, unsigned BlockSize>
 void check_fp_equivalence(const std::vector<Key>& keys,
                           const std::vector<Key>& probes) {
     using C = ThreeWayComparator<Key>;
-    using Ref = dtree::btree<Key, C, BlockSize, detail::LinearSearch,
-                             dtree::ConcurrentAccess, Multi>;
-    using Fp = FpTree<Key, BlockSize, Multi>;
+    using Ref = dtree::btree_set<Key, C, BlockSize, detail::LinearSearch>;
+    using Fp = FpTree<Key, BlockSize>;
     Ref ref;
     Fp fp;
     auto hr = ref.create_hints();
@@ -378,7 +334,6 @@ void check_fp_equivalence(const std::vector<Key>& keys,
     std::vector<Key> seq_fp(fp.begin(), fp.end());
     ASSERT_EQ(seq_ref, seq_fp);
 
-    C comp;
     auto value_at = [&](const auto& tree, auto it) {
         return it == tree.end() ? std::optional<Key>{} : std::optional<Key>{*it};
     };
@@ -394,61 +349,30 @@ void check_fp_equivalence(const std::vector<Key>& keys,
                   value_at(fp, fp.lower_bound(p, hf)));
         ASSERT_EQ(value_at(ref, ref.upper_bound(p, hr)),
                   value_at(fp, fp.upper_bound(p, hf)));
-        if constexpr (Multi) {
-            const auto dr = std::distance(ref.lower_bound(p, hr),
-                                          ref.upper_bound(p, hr));
-            const auto df = std::distance(fp.lower_bound(p, hf),
-                                          fp.upper_bound(p, hf));
-            ASSERT_EQ(dr, df);
-            const auto expect = std::count_if(
-                seq_ref.begin(), seq_ref.end(),
-                [&](const Key& k) { return comp.equal(k, p); });
-            ASSERT_EQ(df, expect);
-        }
     }
 }
 
 TEST(SearchEquivalence, FpTupleSetTinyBlocks) {
     const auto keys = tie_heavy_points(4000, 21);
     const auto probes = probe_mix(keys);
-    check_fp_equivalence<Point, 3, false>(keys, probes);
-    check_fp_equivalence<Point, 4, false>(keys, probes);
-    check_fp_equivalence<Point, 5, false>(keys, probes);
+    check_fp_equivalence<Point, 3>(keys, probes);
+    check_fp_equivalence<Point, 4>(keys, probes);
+    check_fp_equivalence<Point, 5>(keys, probes);
 }
 
 TEST(SearchEquivalence, FpTupleSetDefaultBlock) {
     const auto keys = tie_heavy_points(6000, 22);
-    check_fp_equivalence<Point, detail::default_block_size<Point>(), false>(
+    check_fp_equivalence<Point, detail::default_block_size<Point>()>(
         keys, probe_mix(keys));
-}
-
-TEST(SearchEquivalence, FpTupleMultisetHeavyDuplicates) {
-    auto keys = tie_heavy_points(1500, 23);
-    const std::size_t base = keys.size();
-    for (std::size_t i = 0; i < base; i += 5) {
-        keys.push_back(keys[i]);
-        keys.push_back(keys[i]);
-    }
-    const auto probes = probe_mix(keys);
-    check_fp_equivalence<Point, 3, true>(keys, probes);
-    check_fp_equivalence<Point, detail::default_block_size<Point>(), true>(
-        keys, probes);
 }
 
 TEST(SearchEquivalence, FpScalarSetSignBitBoundary) {
     const auto keys = scalar_keys(4000, 24);
     const auto probes = probe_mix(keys);
-    check_fp_equivalence<std::uint64_t, 3, false>(keys, probes);
+    check_fp_equivalence<std::uint64_t, 3>(keys, probes);
     check_fp_equivalence<std::uint64_t,
-                         detail::default_block_size<std::uint64_t>(), false>(
+                         detail::default_block_size<std::uint64_t>()>(
         keys, probes);
-}
-
-TEST(SearchEquivalence, FpScalarMultiset) {
-    auto keys = scalar_keys(1000, 25);
-    const std::size_t base = keys.size();
-    for (std::size_t i = 0; i < base; i += 3) keys.push_back(keys[i]);
-    check_fp_equivalence<std::uint64_t, 4, true>(keys, probe_mix(keys));
 }
 
 /// Append-zone boundary fills: fills that end exactly AT node capacity, one
@@ -468,7 +392,7 @@ void check_append_zone_fills(unsigned seed_base) {
             SCOPED_TRACE(::testing::Message()
                          << "BlockSize=" << BlockSize << " n=" << n
                          << " pattern=" << pattern << " seed=" << seed_base);
-            FpTree<Key, BlockSize, false> t;
+            FpTree<Key, BlockSize> t;
             auto h = t.create_hints();
             std::set<Key> oracle;
             for (std::size_t i = 0; i < n; ++i) {
@@ -522,8 +446,8 @@ TEST(SearchEquivalence, FpCollisionAdversarialScalar) {
 
     namespace metrics = dtree::metrics;
     metrics::reset();
-    FpTree<Key, 4, false> tiny;
-    FpTree<Key, detail::default_block_size<Key>(), false> big;
+    FpTree<Key, 4> tiny;
+    FpTree<Key, detail::default_block_size<Key>()> big;
     auto ht = tiny.create_hints();
     auto hb = big.create_hints();
     for (Key k : present) {
@@ -566,7 +490,7 @@ TEST(SearchEquivalence, FpCollisionAdversarialTuple) {
     dtree::util::Rng rng(42);
     std::shuffle(present.begin(), present.end(), rng);
 
-    FpTree<Point, 4, false> t;
+    FpTree<Point, 4> t;
     auto h = t.create_hints();
     for (const auto& p : present) ASSERT_TRUE(t.insert(p, h));
     ASSERT_TRUE(t.check_invariants().empty()) << t.check_invariants();

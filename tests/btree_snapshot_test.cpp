@@ -3,9 +3,10 @@
 // at pin time — byte-for-byte, in order — no matter what happens to the tree
 // afterwards: point inserts, bulk insert_sorted_run, splits all the way to
 // root replacement, concurrent writer teams, epoch advances, and
-// move-assignment. Typed over BlockSize 3/4/5/default and set/multiset
-// modes, per the §11 retention argument (small nodes maximise CoW images and
-// root-version chain depth).
+// move-assignment. Typed over BlockSize 3/4/5/default, per the §11
+// retention argument (small nodes maximise CoW images and root-version chain
+// depth), and over u64 keys and the Tuple<4> key the Datalog serve path
+// stores (multi-column compares, ties on the leading columns).
 
 #include "core/btree.h"
 #include "core/tuple.h"
@@ -20,42 +21,42 @@
 #include <random>
 #include <set>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 namespace {
 
 using dtree::ThreeWayComparator;
 
-template <typename Tree, bool Multi>
-struct Config {
-    using tree_type = Tree;
-    using key_type = typename Tree::key_type;
-    using oracle_type = std::conditional_t<Multi, std::multiset<key_type>,
-                                           std::set<key_type>>;
-    static constexpr bool multiset = Multi;
-};
+using Quad = dtree::Tuple<4>;
 
 template <unsigned B>
 using SnapSet = dtree::snapshot_btree_set<std::uint64_t,
                                           ThreeWayComparator<std::uint64_t>, B>;
 template <unsigned B>
-using SnapMulti =
-    dtree::snapshot_btree_multiset<std::uint64_t,
-                                   ThreeWayComparator<std::uint64_t>, B>;
+using SnapQuad = dtree::snapshot_btree_set<Quad, ThreeWayComparator<Quad>, B>;
 
 using Configs = ::testing::Types<
-    Config<SnapSet<3>, false>, Config<SnapSet<4>, false>,
-    Config<SnapSet<5>, false>, Config<dtree::snapshot_btree_set<std::uint64_t>, false>,
-    Config<SnapMulti<3>, true>, Config<SnapMulti<4>, true>,
-    Config<SnapMulti<5>, true>,
-    Config<dtree::snapshot_btree_multiset<std::uint64_t>, true>>;
+    SnapSet<3>, SnapSet<4>, SnapSet<5>, dtree::snapshot_btree_set<std::uint64_t>,
+    SnapQuad<3>, SnapQuad<4>, SnapQuad<5>, dtree::snapshot_btree_set<Quad>>;
 
-template <typename C>
+template <typename T>
 class SnapshotTest : public ::testing::Test {
 protected:
-    using Tree = typename C::tree_type;
-    using Key = typename C::key_type;
-    using Oracle = typename C::oracle_type;
+    using Tree = T;
+    using Key = typename Tree::key_type;
+    using Oracle = std::set<Key>;
+
+    /// Order-preserving, injective key for the integer `v`: itself for u64
+    /// trees; for Tuple<4> trees the leading columns split v coarsely, so
+    /// neighbouring keys tie on them and compares reach the later columns.
+    static Key key(std::uint64_t v) {
+        if constexpr (std::is_same_v<Key, Quad>) {
+            return Quad{v >> 6, (v >> 3) & 7, v & 7, v};
+        } else {
+            return v;
+        }
+    }
 
     static std::vector<Key> drain(const typename Tree::Snapshot& s) {
         std::vector<Key> out;
@@ -91,15 +92,15 @@ TYPED_TEST(SnapshotTest, EmptyTreeAndBoundarySemantics) {
     EXPECT_EQ(s0.size(), 0u);
 
     // Mutations of the CURRENT epoch are invisible until the next advance.
-    for (std::uint64_t k = 0; k < 50; ++k) t.insert(k);
+    for (std::uint64_t k = 0; k < 50; ++k) t.insert(TestFixture::key(k));
     const auto s1 = t.snapshot(); // same boundary as s0
     EXPECT_EQ(s1.size(), 0u);
-    EXPECT_FALSE(s1.contains(7));
+    EXPECT_FALSE(s1.contains(TestFixture::key(7)));
 
     t.advance_epoch();
     const auto s2 = t.snapshot();
     EXPECT_EQ(s2.size(), 50u);
-    EXPECT_TRUE(s2.contains(7));
+    EXPECT_TRUE(s2.contains(TestFixture::key(7)));
     EXPECT_EQ(s0.size(), 0u) << "old pin must stay empty";
     EXPECT_TRUE(t.check_invariants().empty()) << t.check_invariants();
 }
@@ -111,14 +112,14 @@ TYPED_TEST(SnapshotTest, PointInsertsAfterPinDoNotLeakIn) {
     Oracle oracle;
     std::mt19937_64 rng(42);
     for (int i = 0; i < 600; ++i) {
-        const std::uint64_t k = rng() % 500;
+        const auto k = TestFixture::key(rng() % 500);
         if (t.insert(k)) oracle.insert(k);
     }
     t.advance_epoch();
     const auto snap = t.snapshot();
 
     // Writes after the pin: interleaved keys that split the pinned leaves.
-    for (int i = 0; i < 2000; ++i) t.insert(rng() % 100000 + 1000);
+    for (int i = 0; i < 2000; ++i) t.insert(TestFixture::key(rng() % 100000 + 1000));
     this->assert_matches(snap, oracle, "point inserts after pin");
     EXPECT_TRUE(t.check_invariants().empty()) << t.check_invariants();
 }
@@ -129,14 +130,14 @@ TYPED_TEST(SnapshotTest, BulkSortedRunAfterPinDoesNotLeakIn) {
     Tree t;
     Oracle oracle;
     for (std::uint64_t k = 0; k < 400; ++k) {
-        t.insert(k * 3); // gaps for the run to land in
-        oracle.insert(k * 3);
+        t.insert(TestFixture::key(k * 3)); // gaps for the run to land in
+        oracle.insert(TestFixture::key(k * 3));
     }
     t.advance_epoch();
     const auto snap = t.snapshot();
 
-    std::vector<std::uint64_t> run;
-    for (std::uint64_t k = 0; k < 2000; ++k) run.push_back(k);
+    std::vector<typename TestFixture::Key> run;
+    for (std::uint64_t k = 0; k < 2000; ++k) run.push_back(TestFixture::key(k));
     t.insert_sorted_run(run.begin(), run.end());
     this->assert_matches(snap, oracle, "bulk run after pin");
 
@@ -153,13 +154,13 @@ TYPED_TEST(SnapshotTest, SplitsIncludingRootReplacement) {
     // Tiny pinned tree: every later insert forces splits near the pinned
     // structure, including multiple root replacements at BlockSize 3.
     for (std::uint64_t k = 0; k < 8; ++k) {
-        t.insert(k * 1000);
-        oracle.insert(k * 1000);
+        t.insert(TestFixture::key(k * 1000));
+        oracle.insert(TestFixture::key(k * 1000));
     }
     t.advance_epoch();
     const auto snap = t.snapshot();
 
-    for (std::uint64_t k = 0; k < 5000; ++k) t.insert(k);
+    for (std::uint64_t k = 0; k < 5000; ++k) t.insert(TestFixture::key(k));
     this->assert_matches(snap, oracle, "splits after pin");
     EXPECT_TRUE(t.check_invariants().empty()) << t.check_invariants();
 }
@@ -174,7 +175,7 @@ TYPED_TEST(SnapshotTest, ManyEpochsManyPins) {
     std::mt19937_64 rng(7);
     for (int round = 0; round < 12; ++round) {
         for (int i = 0; i < 300; ++i) {
-            const std::uint64_t k = rng() % 4000;
+            const auto k = TestFixture::key(rng() % 4000);
             if (t.insert(k)) live.insert(k);
         }
         t.advance_epoch();
@@ -193,51 +194,30 @@ TYPED_TEST(SnapshotTest, ManyEpochsManyPins) {
 
 TYPED_TEST(SnapshotTest, FindLowerBoundAndHalfOpenRange) {
     using Tree = typename TestFixture::Tree;
+    using Key = typename TestFixture::Key;
+    const auto K = &TestFixture::key;
     Tree t;
-    for (std::uint64_t k = 0; k < 100; ++k) t.insert(k * 10);
+    for (std::uint64_t k = 0; k < 100; ++k) t.insert(K(k * 10));
     t.advance_epoch();
     const auto snap = t.snapshot();
-    for (std::uint64_t k = 0; k < 2000; ++k) t.insert(k); // dense overwrite
+    for (std::uint64_t k = 0; k < 2000; ++k) t.insert(K(k)); // dense overwrite
 
-    EXPECT_TRUE(snap.contains(500));
-    EXPECT_FALSE(snap.contains(501));
-    ASSERT_TRUE(snap.find(990).has_value());
-    EXPECT_EQ(*snap.find(990), 990u);
-    ASSERT_TRUE(snap.lower_bound(985).has_value());
-    EXPECT_EQ(*snap.lower_bound(985), 990u);
+    EXPECT_TRUE(snap.contains(K(500)));
+    EXPECT_FALSE(snap.contains(K(501)));
+    ASSERT_TRUE(snap.find(K(990)).has_value());
+    EXPECT_EQ(*snap.find(K(990)), K(990));
+    ASSERT_TRUE(snap.lower_bound(K(985)).has_value());
+    EXPECT_EQ(*snap.lower_bound(K(985)), K(990));
     // 991..: nothing in the PINNED view, even though the live tree now has
     // the dense 0..1999 run.
-    EXPECT_FALSE(snap.lower_bound(991).has_value());
+    EXPECT_FALSE(snap.lower_bound(K(991)).has_value());
 
     // [lo, hi) — hi itself excluded even when present in the snapshot.
-    std::vector<std::uint64_t> got;
-    snap.for_each_in_range(200, 250, [&](const std::uint64_t& k) {
+    std::vector<Key> got;
+    snap.for_each_in_range(K(200), K(250), [&](const Key& k) {
         got.push_back(k);
     });
-    EXPECT_EQ(got, (std::vector<std::uint64_t>{200, 210, 220, 230, 240}));
-}
-
-TYPED_TEST(SnapshotTest, MultisetKeepsDuplicateMultiplicity) {
-    if constexpr (TestFixture::Tree::allow_duplicates) {
-        using Tree = typename TestFixture::Tree;
-        using Oracle = typename TestFixture::Oracle;
-        Tree t;
-        Oracle oracle;
-        for (int rep = 0; rep < 5; ++rep) {
-            for (std::uint64_t k = 0; k < 60; ++k) {
-                t.insert(k);
-                oracle.insert(k);
-            }
-        }
-        t.advance_epoch();
-        const auto snap = t.snapshot();
-        for (int rep = 0; rep < 7; ++rep) {
-            for (std::uint64_t k = 0; k < 60; ++k) t.insert(k);
-        }
-        this->assert_matches(snap, oracle, "multiset multiplicity");
-    } else {
-        GTEST_SKIP() << "set-mode instantiation";
-    }
+    EXPECT_EQ(got, (std::vector<Key>{K(200), K(210), K(220), K(230), K(240)}));
 }
 
 TYPED_TEST(SnapshotTest, MoveAssignmentRetainsPinnedContent) {
@@ -246,16 +226,16 @@ TYPED_TEST(SnapshotTest, MoveAssignmentRetainsPinnedContent) {
     Tree t;
     Oracle oracle;
     for (std::uint64_t k = 0; k < 300; ++k) {
-        t.insert(k);
-        oracle.insert(k);
+        t.insert(TestFixture::key(k));
+        oracle.insert(TestFixture::key(k));
     }
     t.advance_epoch();
     const auto snap = t.snapshot();
 
     // Replace the tree wholesale (the Relation bulk-rebuild path:
     // from_sorted_stream -> move-assign -> steal()).
-    std::vector<std::uint64_t> run;
-    for (std::uint64_t k = 10000; k < 14000; ++k) run.push_back(k);
+    std::vector<typename TestFixture::Key> run;
+    for (std::uint64_t k = 10000; k < 14000; ++k) run.push_back(TestFixture::key(k));
     t = Tree::from_sorted_stream(run.begin(), run.end(), run.size());
 
     this->assert_matches(snap, oracle, "pin across move-assignment");
@@ -263,8 +243,8 @@ TYPED_TEST(SnapshotTest, MoveAssignmentRetainsPinnedContent) {
     t.advance_epoch();
     const auto fresh = t.snapshot();
     EXPECT_EQ(fresh.size(), run.size());
-    EXPECT_TRUE(fresh.contains(10000));
-    EXPECT_FALSE(fresh.contains(0));
+    EXPECT_TRUE(fresh.contains(TestFixture::key(10000)));
+    EXPECT_FALSE(fresh.contains(TestFixture::key(0)));
 }
 
 TYPED_TEST(SnapshotTest, ConcurrentWritersEpochTickerPinnedOracle) {
@@ -275,7 +255,7 @@ TYPED_TEST(SnapshotTest, ConcurrentWritersEpochTickerPinnedOracle) {
     Oracle oracle;
     std::mt19937_64 seed_rng(99);
     for (int i = 0; i < 1500; ++i) {
-        const std::uint64_t k = seed_rng() % 100000;
+        const auto k = TestFixture::key(seed_rng() % 100000);
         if (t.insert(k)) oracle.insert(k);
     }
     t.advance_epoch();
@@ -309,7 +289,7 @@ TYPED_TEST(SnapshotTest, ConcurrentWritersEpochTickerPinnedOracle) {
     dtree::util::run_threads(writers, [&](unsigned tid) {
         std::mt19937_64 rng(1000 + tid);
         for (int i = 0; i < 20000; ++i) {
-            t.insert(rng() % 1000000);
+            t.insert(TestFixture::key(rng() % 1000000));
         }
     });
     stop.store(true, std::memory_order_release);
@@ -436,24 +416,6 @@ TEST(SnapshotGc, UnpinnedTreeStaysBounded) {
     t.advance_epoch();
     const auto fresh = t.snapshot();
     EXPECT_EQ(fresh.size(), t.size());
-}
-
-// Sequential-policy instantiation: the same API under SeqAccess (single
-// writer), used by sequential loads that still want historical pins.
-TEST(SnapshotSeqPolicy, OracleAtPinTime) {
-    dtree::snapshot_seq_btree_set<std::uint64_t,
-                                  ThreeWayComparator<std::uint64_t>, 4> t;
-    std::set<std::uint64_t> oracle;
-    for (std::uint64_t k = 0; k < 500; ++k) {
-        t.insert(k * 7 % 1000);
-        oracle.insert(k * 7 % 1000);
-    }
-    t.advance_epoch();
-    const auto snap = t.snapshot();
-    for (std::uint64_t k = 0; k < 3000; ++k) t.insert(k);
-    std::vector<std::uint64_t> got;
-    snap.for_each([&](const std::uint64_t& k) { got.push_back(k); });
-    EXPECT_EQ(got, std::vector<std::uint64_t>(oracle.begin(), oracle.end()));
 }
 
 // Tuple keys through the snapshot layer (the Relation storage shape).

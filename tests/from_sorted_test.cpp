@@ -74,21 +74,6 @@ TEST(FromSortedBoundary, DefaultBlockTupleKeys) {
     }
 }
 
-// Weakly-sorted (duplicate-laden) multiset input across the same BlockSize-3
-// boundaries: equal keys may legally straddle node boundaries anywhere.
-TEST(FromSortedBoundary, MultisetWeaklySorted) {
-    using Tree = dtree::btree_multiset<std::uint64_t,
-                                       dtree::ThreeWayComparator<std::uint64_t>, 3>;
-    for (unsigned depth = 0; depth <= 3; ++depth) {
-        const std::size_t cap = packed_capacity(3, depth);
-        for (std::size_t n : {cap - 1, cap, cap + 1}) {
-            SCOPED_TRACE("depth=" + std::to_string(depth) + " n=" + std::to_string(n));
-            // Runs of 3 equal values: i/3 is weakly increasing.
-            check_bulk_load<Tree>(n, [](std::size_t i) { return i / 3; });
-        }
-    }
-}
-
 // A bulk-loaded tree at an exact capacity boundary must stay fully
 // functional for hinted queries and follow-up splits.
 TEST(FromSortedBoundary, BoundaryTreesAcceptInserts) {

@@ -9,11 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <iterator>
-#include <set>
-#include <vector>
-
-#include "util/random.h"
 
 namespace {
 
@@ -122,68 +117,6 @@ TEST(HintStatsTest, UpperBoundHitsAndMisses) {
     // maximum itself is a miss (the strictly-greater element may be absent).
     EXPECT_EQ(t.upper_bound(30, q), t.end());
     EXPECT_EQ(misses(q.stats, HintKind::Upper), 2u);
-}
-
-// Regression (multiset lower_bound hint): with duplicates allowed, a leaf
-// whose first key EQUALS the probe does not prove it holds the first
-// occurrence — the run of duplicates may begin in an earlier leaf. The hint
-// check must therefore demand a strictly smaller first key before taking the
-// cached leaf. BlockSize 3 makes a duplicate run span several leaves.
-TEST(HintStatsTest, MultisetLowerBoundHintSkipsEarlierDuplicates) {
-    using MTree = dtree::btree_multiset<std::uint64_t,
-                                        dtree::ThreeWayComparator<std::uint64_t>, 3>;
-    // Packed layout: root separators [5 5] over leaves [5 5] [5 5] [5 7] —
-    // the run of 5s spans every node and the leaf holding 7 *starts* with 5.
-    const std::vector<std::uint64_t> keys = {5, 5, 5, 5, 5, 5, 5, 7};
-    auto t = MTree::from_sorted(keys.begin(), keys.end());
-    ASSERT_EQ(t.check_invariants(), "");
-
-    auto h = t.create_hints();
-    // Warm the Lower hint onto the rightmost leaf.
-    ASSERT_EQ(*t.lower_bound(7, h), 7u);
-
-    // That leaf "covers" 5 under the set rule (first key <= 5 <= last key),
-    // but the first 5 lives two leaves earlier: the hint must be rejected
-    // and the traversal must land on the very first occurrence.
-    auto it = t.lower_bound(5, h);
-    ASSERT_NE(it, t.end());
-    EXPECT_EQ(*it, 5u);
-    EXPECT_EQ(std::distance(t.begin(), it), 0)
-        << "hinted lower_bound entered the duplicate run mid-way";
-}
-
-// Differential sweep of the same property: hinted lower_bound on a multiset
-// must always land where std::multiset::lower_bound does, no matter what
-// leaf the previous query left in the hint slot.
-TEST(HintStatsTest, MultisetLowerBoundHintedMatchesReference) {
-    using MTree = dtree::btree_multiset<std::uint64_t,
-                                        dtree::ThreeWayComparator<std::uint64_t>, 3>;
-    MTree t;
-    std::multiset<std::uint64_t> ref;
-    dtree::util::Rng rng(7);
-    auto h = t.create_hints();
-    for (int i = 0; i < 600; ++i) {
-        const auto v = dtree::util::uniform_int<std::uint64_t>(rng, 0, 30);
-        t.insert(v, h);
-        ref.insert(v);
-    }
-    ASSERT_EQ(t.check_invariants(), "");
-
-    auto q = t.create_hints();
-    // Interleave probes so the hint slot points all over the tree; every
-    // duplicated value must still resolve to its first occurrence.
-    for (int round = 0; round < 3; ++round) {
-        for (std::uint64_t probe = 0; probe <= 31; ++probe) {
-            const auto d_ref = std::distance(ref.begin(), ref.lower_bound(probe));
-            const auto d = std::distance(t.begin(), t.lower_bound(probe, q));
-            ASSERT_EQ(d, d_ref) << "probe " << probe << " round " << round;
-        }
-        for (std::uint64_t probe = 31; probe-- > 0;) {
-            const auto d_ref = std::distance(ref.begin(), ref.lower_bound(probe));
-            const auto d = std::distance(t.begin(), t.lower_bound(probe, q));
-            ASSERT_EQ(d, d_ref) << "probe " << probe << " (descending)";
-        }
-    }
 }
 
 TEST(HintStatsTest, AggregationAndRate) {
