@@ -87,7 +87,7 @@ struct Sweep {
         std::vector<typename Tree::operation_hints> hints(threads);
         util::Timer timer;
         sched.parallel_for(
-            parts, threads, {runtime::SchedMode::Steal, /*grain=*/1},
+            parts, threads, {.grain = 1},
             [&](unsigned wid, std::size_t b, std::size_t e) {
                 for (std::size_t p = b; p < e; ++p) {
                     t.insert_sorted_run(slice_begin(p),

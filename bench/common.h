@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "core/tuple.h"
+#include "runtime/scheduler.h"
 #include "util/cli.h"
 #include "util/json.h"
 #include "util/metrics.h"
@@ -73,6 +74,8 @@ inline std::string label(std::size_t side) {
 ///     "config": { "<flag>": "<value>", ... },          // exact CLI flags
 ///     "metrics_enabled": true,
 ///     "metrics": { "<counter>": n, ... },              // metrics Snapshot
+///     "scheduler": { "regions": n, "steals": n, ... }, // SchedulerStats,
+///                                                      // every build
 ///     "throughput": [                                  // one per SeriesTable
 ///       { "title": ..., "x_label": ..., "x": [...],
 ///         "series": { "<name>": [y, ...], ... } }
@@ -117,6 +120,8 @@ public:
         w.kv("metrics_enabled", metrics::enabled());
         w.key("metrics");
         metrics::snapshot().write_json(w);
+        w.key("scheduler");
+        runtime::Scheduler::instance().stats().write_json(w);
         w.key("throughput");
         w.begin_array();
         for (const auto& t : tables_) {

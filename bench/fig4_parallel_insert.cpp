@@ -1,16 +1,13 @@
 // Reproduces Figure 4 (a-d): parallel insertion throughput, strong scaling.
 //
 //   ./build/bench/fig4_parallel_insert [--full] [--n=2000000] [--threads=1,2,4,8]
-//                                      [--sched=blocks|steal] [--grain=N]
 //                                      [--search=default|linear|binary]
 //                                      [--json=FILE] [--smoke] [--fingerprints]
 //
 // --json writes the machine-readable run record (see bench/common.h);
 // --smoke runs only the single-socket sections (CI smoke job).
-// --sched / --grain select the scheduler behind util::parallel_blocks
-// (runtime/scheduler.h): the default `blocks` keeps the paper's static
-// contiguous partition (now on the persistent pool); `steal` cuts the insert
-// range into grain-sized chunks rebalanced by work stealing.
+// Inserts run through util::parallel_blocks: the paper's static contiguous
+// partition, one block per thread, on the persistent pool.
 // --search overrides the in-node search policy of the "btree" rows (the
 // baselines never change): the scaling counterpart of bench/ablation_search.
 //
@@ -173,18 +170,6 @@ int main(int argc, char** argv) {
     JsonReport report("fig4_parallel_insert", cli);
     const std::size_t n =
         cli.get_u64("n", cli.get_bool("full") ? 100'000'000ull : 2'000'000ull);
-    const std::string sched = cli.get_str("sched", "");
-    if (!sched.empty() && sched != "1") {
-        dtree::runtime::SchedMode mode;
-        if (!dtree::runtime::parse_mode(sched, mode)) {
-            std::fprintf(stderr, "unknown --sched=%s (blocks|steal)\n", sched.c_str());
-            return 2;
-        }
-        dtree::runtime::set_default_mode(mode);
-    }
-    if (const std::size_t grain = cli.get_u64("grain", 0)) {
-        dtree::runtime::set_default_grain(grain);
-    }
     if (!parse_search(cli, g_search)) return 2;
     g_fingerprints = cli.get_bool("fingerprints");
 

@@ -2,11 +2,10 @@
 // different relation data structures plugged into the soufflette engine.
 //
 //   ./build/bench/fig5_datalog [--full] [--scale=N] [--threads=1,2,4,8]
-//                              [--sched=blocks|steal] [--grain=N] [--json=FILE]
+//                              [--json=FILE]
 //
-// --sched / --grain A/B the engine's parallel scheduler (persistent pool
-// with work stealing vs the seed's static blocks, runtime/scheduler.h);
-// defaults: steal, grain 64 (or DATATREE_SCHED / DATATREE_GRAIN).
+// The engine runs its rule fanout on the persistent work-stealing pool
+// (runtime/scheduler.h) at the default grain of 64 tuples.
 //
 // (a) Doop-style context-insensitive var-points-to (insertion-heavy)
 // (b) EC2-style security reachability analysis (read-heavy)
@@ -31,18 +30,9 @@ using namespace dtree;
 using namespace dtree::bench;
 using namespace dtree::datalog;
 
-struct SchedConfig {
-    bool mode_set = false;
-    runtime::SchedMode mode = runtime::SchedMode::Steal;
-    std::size_t grain = 0; // 0: engine default
-};
-SchedConfig g_sched;
-
 template <typename Storage>
 double run_engine(const Workload& w, unsigned threads) {
     Engine<Storage> engine(compile(w.source));
-    if (g_sched.mode_set) engine.set_scheduler_mode(g_sched.mode);
-    if (g_sched.grain) engine.set_grain(g_sched.grain);
     for (const auto& [rel, facts] : w.facts) engine.add_facts(rel, facts);
     util::Timer t;
     engine.run(threads);
@@ -81,15 +71,6 @@ int main(int argc, char** argv) {
     const auto threads =
         cli.get_list("threads", full ? std::vector<unsigned>{1, 2, 4, 8, 16, 24, 32}
                                      : std::vector<unsigned>{1, 2, 4, 8, 16});
-    const std::string sched = cli.get_str("sched", "");
-    if (!sched.empty() && sched != "1") {
-        if (!dtree::runtime::parse_mode(sched, g_sched.mode)) {
-            std::fprintf(stderr, "unknown --sched=%s (blocks|steal)\n", sched.c_str());
-            return 2;
-        }
-        g_sched.mode_set = true;
-    }
-    g_sched.grain = cli.get_u64("grain", 0);
 
     const Workload doop = make_doop_like(doop_scale, 7);
     const Workload ec2 = make_ec2_like(ec2_scale, 11);

@@ -10,9 +10,8 @@
 // --profile prints a per-rule breakdown; --profile=FILE additionally writes
 // a machine-readable JSON record {runtime, stats, profile, scheduler,
 // metrics} to FILE (Soufflé-profiler style).
-// --sched=blocks|steal picks the parallel scheduler (default: steal, or
-// DATATREE_SCHED); --grain=N sets the work-stealing chunk size in tuples
-// (default 64, or DATATREE_GRAIN) — work that fits one grain runs inline.
+// Parallel regions always run on the work-stealing pool
+// (runtime/scheduler.h); any flag outside the usage line exits 2.
 // --serve-probe[=N] switches to the snapshot-enabled storage and spawns N
 // reader threads (default 1) that pin Relation snapshots and issue point /
 // range queries WHILE evaluation runs, cross-checking each snapshot for
@@ -293,21 +292,9 @@ int run_soufflette(const std::string& program_path, const dtree::util::Cli& cli,
     const std::string facts_dir = cli.get_str("facts", ".");
     const std::string output_dir = cli.get_str("output", ".");
     const unsigned jobs = static_cast<unsigned>(cli.get_u64("jobs", 1));
-    const std::string sched = cli.get_str("sched", "");
-    const std::size_t grain = cli.get_u64("grain", 0);
 
     const AnalyzedProgram prog = compile(read_text_file(program_path));
     EngineT engine(prog);
-    if (!sched.empty() && sched != "1") {
-        dtree::runtime::SchedMode mode;
-        if (!dtree::runtime::parse_mode(sched, mode)) {
-            std::fprintf(stderr, "unknown --sched=%s (blocks|steal)\n",
-                         sched.c_str());
-            return 2;
-        }
-        engine.set_scheduler_mode(mode);
-    }
-    if (grain) engine.set_grain(grain);
 
     for (const auto& decl : prog.decls) {
         if (!decl.is_input) continue;
@@ -476,7 +463,6 @@ int run_soufflette(const std::string& program_path, const dtree::util::Cli& cli,
             w.end_array();
             w.key("scheduler");
             w.begin_object();
-            w.kv("mode", dtree::runtime::mode_name(engine.scheduler_mode()));
             w.kv("grain", engine.grain());
             w.key("pool");
             dtree::runtime::Scheduler::instance().stats().write_json(w);
@@ -526,9 +512,8 @@ int run_soufflette(const std::string& program_path, const dtree::util::Cli& cli,
                         static_cast<unsigned long long>(s.snapshot_cow_bytes));
         }
         const auto ps = dtree::runtime::Scheduler::instance().stats();
-        std::printf("scheduler: %s (grain %zu), %llu regions, %llu tasks, "
+        std::printf("scheduler: grain %zu, %llu regions, %llu tasks, "
                     "%llu steals (%llu failed probes), %llu pool threads\n",
-                    dtree::runtime::mode_name(engine.scheduler_mode()),
                     engine.grain(),
                     static_cast<unsigned long long>(ps.regions),
                     static_cast<unsigned long long>(ps.tasks),
@@ -545,7 +530,7 @@ int main(int argc, char** argv) {
     if (argc < 2 || argv[1][0] == '-') {
         std::fprintf(stderr,
                      "usage: %s <program.dl> [--facts=DIR] [--output=DIR] "
-                     "[--jobs=N] [--sched=blocks|steal] [--grain=N] "
+                     "[--jobs=N] "
                      "[--serve[=FILE]] [--serve-probe[=N]] [--listen[=PORT]] "
                      "[--fingerprints] [--stats] "
                      "[--profile[=FILE]]\n",
@@ -554,6 +539,13 @@ int main(int argc, char** argv) {
     }
     const std::string program_path = argv[1];
     dtree::util::Cli cli(argc - 1, argv + 1);
+    const std::string unknown =
+        cli.first_unknown({"facts", "output", "jobs", "serve", "serve-probe",
+                           "listen", "fingerprints", "stats", "profile"});
+    if (!unknown.empty()) {
+        std::fprintf(stderr, "unknown flag --%s\n", unknown.c_str());
+        return 2;
+    }
     const unsigned probe_threads = cli.has("serve-probe")
         ? std::max(1u, static_cast<unsigned>(cli.get_u64("serve-probe", 1)))
         : 0;

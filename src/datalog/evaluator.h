@@ -24,9 +24,9 @@
 // (datalog/view_cache.h), so hints persist across chunks, rules, and
 // fixpoint iterations, like Soufflé's long-lived OpenMP threads. Writes go
 // to NEW relations only and reads to FULL/DELTA only: the two-phase
-// discipline that lets reads run unsynchronised. DATATREE_SCHED=blocks|steal
-// (or set_scheduler_mode) picks the scheduler, --grain/set_grain the chunk
-// size; work that fits one grain runs inline on the caller.
+// discipline that lets reads run unsynchronised. Rule fanout uses
+// Scheduler::kDefaultGrain-sized chunks; work that fits one grain runs
+// inline on the caller.
 //
 // Incremental ingestion (DESIGN.md §12): after run(), ingest() buffers new
 // fact batches (filtered to genuinely-new tuples) and refixpoint() group-
@@ -201,16 +201,11 @@ public:
         }
     }
 
-    /// Picks the scheduler for parallel regions; defaults to work stealing
-    /// (DATATREE_SCHED=blocks|steal overrides at construction).
-    void set_scheduler_mode(runtime::SchedMode m) { mode_ = m; }
-    runtime::SchedMode scheduler_mode() const { return mode_; }
-
-    /// Chunk grain for rule fanout and merges; 0 restores the default. Work
-    /// that fits one grain runs inline — this is the scheduler-owned
-    /// replacement for the old hard-coded 256-tuple single-thread cutoff.
+    /// Chunk grain for rule fanout; 0 restores Scheduler::kDefaultGrain.
+    /// Work that fits one grain runs inline. A test seam: the determinism
+    /// suite lowers it so small inputs still split into many chunks.
     void set_grain(std::size_t g) {
-        grain_ = g ? g : runtime::default_grain();
+        grain_ = g ? g : runtime::Scheduler::kDefaultGrain;
     }
     std::size_t grain() const { return grain_; }
 
@@ -219,7 +214,7 @@ public:
         if (threads == 0) throw std::invalid_argument("threads must be >= 1");
         threads_ = threads;
         // All pool threads come up here; regions never spawn again
-        // (acceptance: sched_threads_spawned stays flat across the run).
+        // (acceptance: SchedulerStats::threads_spawned stays flat).
         runtime::Scheduler::instance().reserve(threads);
         views_.reset(threads);
         for (const Stratum& stratum : prog_.strata) evaluate_stratum(stratum);
@@ -681,7 +676,7 @@ private:
                     full.partition_keys(idx, threads_ > 1 ? threads_ * 4 : 1);
                 const std::size_t parts = seps.size() + 1;
                 runtime::Scheduler::instance().parallel_for(
-                    parts, threads_, {mode_, 1},
+                    parts, threads_, {.grain = 1},
                     [&](unsigned wid, std::size_t b, std::size_t e) {
                         auto& view = views_.get(wid, full, false);
                         for (std::size_t p = b; p < e; ++p) {
@@ -696,7 +691,7 @@ private:
             std::vector<StorageTuple> tuples;
             nw.for_each([&](const StorageTuple& t) { tuples.push_back(t); });
             runtime::Scheduler::instance().parallel_for(
-                tuples.size(), threads_, {mode_, grain_},
+                tuples.size(), threads_, {.grain = grain_},
                 [&](unsigned wid, std::size_t b, std::size_t e) {
                     auto& view = views_.get(wid, full, false);
                     for (std::size_t i = b; i < e; ++i) view.insert(tuples[i]);
@@ -788,7 +783,7 @@ private:
         // worker: per-worker views come from the cache, so hints stay warm
         // across chunks (and across whole evaluations).
         runtime::Scheduler::instance().parallel_for(
-            outer.size(), threads_, {mode_, grain_},
+            outer.size(), threads_, {.grain = grain_},
             [&](unsigned wid, std::size_t b, std::size_t e) {
             // Per-worker views: reads on body relations, writes on head.
             std::vector<typename RelationT::LocalView*> body_views;
@@ -964,8 +959,7 @@ private:
     std::vector<RuleProfile> profile_;
     ViewCache<RelationT> views_;
     unsigned threads_ = 1;
-    runtime::SchedMode mode_ = runtime::default_mode(runtime::SchedMode::Steal);
-    std::size_t grain_ = runtime::default_grain();
+    std::size_t grain_ = runtime::Scheduler::kDefaultGrain;
     std::uint64_t input_tuples_ = 0;
     std::uint64_t iterations_ = 0;
     // Incremental ingestion state: pending batches (sorted, deduplicated,

@@ -14,29 +14,28 @@
 //  * A process-wide pool of workers, created once (first region that needs
 //    them) and parked on a condition variable between parallel regions. The
 //    caller participates as worker 0; pool threads hold stable ids 1..N.
-//    After startup the pool never spawns again — `sched_threads_spawned`
-//    stays flat, which the acceptance criteria assert.
+//    After startup the pool never spawns again — `threads_spawned` in
+//    SchedulerStats stays flat, which the acceptance criteria assert.
 //
-//  * A chunked work-stealing scheduler (SchedMode::Steal): [0, n) is cut
-//    into grain-sized chunks, pre-partitioned contiguously over the team
-//    into per-worker bounded deques. Owners pop LIFO from the back — chunks
-//    are pushed in descending order, so the owner walks its range in
-//    ascending index order, which keeps B-tree operation hints (§3 of the
-//    paper) hot for sorted inserts. Thieves pop FIFO from the front, i.e.
-//    the far end of the owner's remaining range, so owner and thief touch
-//    disjoint ends until the deque drains. Deques never refill within a
-//    region, so a thief can retire a victim permanently the first time it
-//    sees it empty: one round-robin sweep with retry-on-success terminates.
+//  * A chunked work-stealing scheduler, the only schedule parallel_for
+//    has: [0, n) is cut into grain-sized chunks, pre-partitioned
+//    contiguously over the team into per-worker bounded deques. Owners pop
+//    LIFO from the back — chunks are pushed in descending order, so the
+//    owner walks its range in ascending index order, which keeps B-tree
+//    operation hints (§3 of the paper) hot for sorted inserts. Thieves pop
+//    FIFO from the front, i.e. the far end of the owner's remaining range,
+//    so owner and thief touch disjoint ends until the deque drains. Deques
+//    never refill within a region, so a thief can retire a victim
+//    permanently the first time it sees it empty: one round-robin sweep
+//    with retry-on-success terminates.
 //
 //  * A shared chunk-claiming fallback for small regions (chunk count within
 //    2x the team): per-worker deques would hold a chunk or two each and the
 //    steal protocol would be pure overhead; a single shared fetch_add
 //    balances perfectly at one atomic op per chunk.
 //
-//  * SchedMode::Blocks reproduces the seed's static contiguous-block
-//    partition (one task per worker) on top of the pool, so benches can A/B
-//    the scheduler itself (DATATREE_SCHED=blocks|steal) with thread startup
-//    costs held equal.
+// Benches that need the paper's static contiguous partition (one call per
+// thread with its block) use util::parallel_blocks, which runs on run_team.
 //
 // Regions are synchronous: parallel_for/run_team return only after every
 // task has executed, and the completion handshake (mutex + condvar) gives
@@ -49,17 +48,16 @@
 //
 // Work that fits one grain runs inline on the caller without touching the
 // pool — this grain-based decision replaces the engine's old hard-coded
-// "under 256 tuples -> 1 thread" cutoff and is overridable per call site
-// (--grain in soufflette and the benches, DATATREE_GRAIN in the
-// environment).
+// "under 256 tuples -> 1 thread" cutoff. The grain is per call
+// (Options::grain): merge partitions pass 1, tuple fanout the default 64.
 //
 // Exceptions escaping a task terminate the process (tasks run under a
 // noexcept trampoline), matching the old raw-std::thread contract.
 //
 // Observability: the pool keeps always-on native counters (SchedulerStats —
-// cheap relaxed increments on the worker's own cache-line-padded slot) and
-// mirrors them into util/metrics.h (`sched_*`) when DATATREE_METRICS is
-// compiled in. util/failpoint.h gains two sites: `sched_worker_stall` stalls
+// cheap relaxed increments on the worker's own cache-line-padded slot);
+// bench records and soufflette's --stats/--profile read them directly.
+// util/failpoint.h gains two sites: `sched_worker_stall` stalls
 // pool workers (never worker 0) at region entry so tests can force the
 // imbalance that makes stealing observable on any core count, and
 // `sched_steal_delay` widens the window before each steal probe so TSan can
@@ -71,44 +69,22 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 #include <deque>
 #include <mutex>
-#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "util/failpoint.h"
 #include "util/json.h"
-#include "util/metrics.h"
 #include "util/spinlock.h"
 
 namespace dtree::runtime {
 
-/// How a parallel_for region hands work to the team.
-enum class SchedMode {
-    Blocks, ///< static contiguous blocks, one task per worker (seed behaviour)
-    Steal,  ///< grain-sized chunks, per-worker deques, work stealing
-};
-
-inline const char* mode_name(SchedMode m) {
-    return m == SchedMode::Blocks ? "blocks" : "steal";
-}
-
-/// Parses a DATATREE_SCHED / --sched= value. Returns false (out untouched)
-/// for anything unrecognised.
-inline bool parse_mode(std::string_view s, SchedMode& out) {
-    if (s == "blocks" || s == "block" || s == "static") {
-        out = SchedMode::Blocks;
-        return true;
-    }
-    if (s == "steal" || s == "ws" || s == "dynamic") {
-        out = SchedMode::Steal;
-        return true;
-    }
-    return false;
-}
+/// One-value tag kept only so existing `{SchedMode::Steal, grain}` Options
+/// initialisers (perfbench/runner.cpp) still compile: work stealing is the
+/// only schedule. New callers write `{.grain = g}`.
+enum class SchedMode { Steal };
 
 /// Contiguous [begin, end) piece i of k over n items; sizes differ by at
 /// most one (remainder spread over the leading pieces). util::block_range
@@ -129,7 +105,7 @@ inline std::pair<std::size_t, std::size_t> split_range(std::size_t n,
 struct SchedulerStats {
     std::uint64_t threads_spawned = 0; ///< pool threads ever created
     std::uint64_t regions = 0;         ///< regions dispatched to the pool
-    std::uint64_t tasks = 0;           ///< chunks executed (all modes)
+    std::uint64_t tasks = 0;           ///< chunks executed
     std::uint64_t steals = 0;          ///< chunks taken from another deque
     std::uint64_t steal_failures = 0;  ///< probes that found a victim empty
     std::uint64_t idle_ns = 0;         ///< parked / waiting-at-barrier time
@@ -157,7 +133,7 @@ public:
 
     /// Per-region knobs. grain == 0 means kDefaultGrain.
     struct Options {
-        SchedMode mode = SchedMode::Steal;
+        SchedMode mode = SchedMode::Steal; ///< the one-value tag above
         std::size_t grain = kDefaultGrain;
     };
 
@@ -177,9 +153,8 @@ public:
     }
 
     /// Parallel for over [0, n): fn(worker, begin, end) with worker ids in
-    /// [0, team) mapping to distinct threads (0 = the caller). In Steal mode
-    /// fn is called once per grain-sized chunk, possibly many times per
-    /// worker; in Blocks mode exactly once per worker with its static block.
+    /// [0, team) mapping to distinct threads (0 = the caller). fn is called
+    /// once per grain-sized chunk, possibly many times per worker.
     /// Runs inline on the caller when the work fits one grain, the team is
     /// 1, or the caller is already inside a region.
     template <typename Fn>
@@ -191,17 +166,6 @@ public:
             return;
         }
         std::lock_guard<std::mutex> serial(region_serial_);
-        if (opt.mode == SchedMode::Blocks) {
-            auto body = [&](unsigned slot) {
-                if (slot != 0) DTREE_FAILPOINT_DELAY(sched_worker_stall);
-                const auto [b, e] = split_range(n, slot, team);
-                if (b == e) return;
-                note_task(slots_[slot]);
-                fn(slot, b, e);
-            };
-            dispatch(team, body);
-            return;
-        }
         std::size_t chunks = (n + g - 1) / g;
         // n > g guarantees chunks >= 2, so t >= 2.
         const unsigned t =
@@ -266,12 +230,10 @@ public:
                 DTREE_FAILPOINT_DELAY(sched_steal_delay);
                 if (pop_front(victim, c)) {
                     me.steals.fetch_add(1, std::memory_order_relaxed);
-                    DTREE_METRIC_INC(sched_steals);
                     note_task(me);
                     fn(slot, c.begin, c.end);
                 } else {
                     me.steal_failures.fetch_add(1, std::memory_order_relaxed);
-                    DTREE_METRIC_INC(sched_steal_failures);
                     ++d;
                 }
             }
@@ -374,7 +336,6 @@ private:
 
     static void note_task(WorkerSlot& s) {
         s.tasks.fetch_add(1, std::memory_order_relaxed);
-        DTREE_METRIC_INC(sched_tasks);
     }
 
     static void note_idle(WorkerSlot& s,
@@ -384,7 +345,6 @@ private:
                             .count();
         s.idle_ns.fetch_add(static_cast<std::uint64_t>(ns),
                             std::memory_order_relaxed);
-        DTREE_METRIC_ADD(sched_idle_ns, static_cast<std::uint64_t>(ns));
     }
 
     /// Publishes one region to workers 1..team-1, runs slot 0 on the caller,
@@ -394,7 +354,6 @@ private:
         std::unique_lock<std::mutex> lk(mu_);
         ensure_workers_locked(team - 1);
         region_count_.fetch_add(1, std::memory_order_relaxed);
-        DTREE_METRIC_INC(sched_regions);
         region_.fn = &invoke_body<Body>;
         region_.ctx = &body;
         region_.team = team;
@@ -420,7 +379,6 @@ private:
             const unsigned wid = static_cast<unsigned>(threads_.size()) + 1;
             if (slots_.size() <= wid) slots_.emplace_back();
             spawned_.fetch_add(1, std::memory_order_relaxed);
-            DTREE_METRIC_INC(sched_threads_spawned);
             threads_.emplace_back([this, wid] { worker_main(wid); });
         }
     }
@@ -471,71 +429,5 @@ private:
     std::atomic<std::uint64_t> spawned_{0};
     std::atomic<std::uint64_t> region_count_{0};
 };
-
-namespace detail {
-
-inline std::atomic<int>& mode_override() {
-    static std::atomic<int> v{-1};
-    return v;
-}
-
-inline std::atomic<std::size_t>& grain_override() {
-    static std::atomic<std::size_t> v{0};
-    return v;
-}
-
-inline int env_mode_raw() {
-    static const int v = [] {
-        const char* e = std::getenv("DATATREE_SCHED");
-        SchedMode m;
-        return (e && parse_mode(e, m)) ? static_cast<int>(m) : -1;
-    }();
-    return v;
-}
-
-inline std::size_t env_grain_raw() {
-    static const std::size_t v = [] {
-        const char* e = std::getenv("DATATREE_GRAIN");
-        if (!e || !*e) return std::size_t{0};
-        char* end = nullptr;
-        const unsigned long long g = std::strtoull(e, &end, 10);
-        return (end && *end == '\0') ? static_cast<std::size_t>(g)
-                                     : std::size_t{0};
-    }();
-    return v;
-}
-
-} // namespace detail
-
-/// Scheduling mode for callers that did not pick one explicitly. Precedence:
-/// set_default_mode() > DATATREE_SCHED env > `fallback`. util/parallel.h
-/// passes Blocks (seed bench semantics: fn called once per thread with its
-/// whole block); the engine passes Steal.
-inline SchedMode default_mode(SchedMode fallback) {
-    const int o = detail::mode_override().load(std::memory_order_relaxed);
-    if (o >= 0) return static_cast<SchedMode>(o);
-    const int e = detail::env_mode_raw();
-    if (e >= 0) return static_cast<SchedMode>(e);
-    return fallback;
-}
-
-inline void set_default_mode(SchedMode m) {
-    detail::mode_override().store(static_cast<int>(m),
-                                  std::memory_order_relaxed);
-}
-
-/// Chunk grain for callers that did not pick one. Precedence:
-/// set_default_grain() > DATATREE_GRAIN env > Scheduler::kDefaultGrain.
-inline std::size_t default_grain() {
-    const std::size_t o =
-        detail::grain_override().load(std::memory_order_relaxed);
-    if (o) return o;
-    const std::size_t e = detail::env_grain_raw();
-    return e ? e : Scheduler::kDefaultGrain;
-}
-
-inline void set_default_grain(std::size_t g) {
-    detail::grain_override().store(g, std::memory_order_relaxed);
-}
 
 } // namespace dtree::runtime

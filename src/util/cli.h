@@ -3,19 +3,23 @@
 // Tiny flag parser shared by the figure-reproduction benches. Supports
 // --name=value and boolean --name forms. Positional arguments (anything not
 // starting with "--") are reported on stderr and ignored. Every --flag is
-// stored without validation: a flag no accessor asks for, e.g. a misspelt
-// or retired option, is silently ignored. Numeric accessors are STRICT:
+// stored without validation; a tool whose flag set is closed calls
+// first_unknown() so a misspelt or retired option fails loudly instead of
+// being silently ignored. Numeric accessors are STRICT:
 // `--jobs=abc` or an out-of-range value throws std::runtime_error naming the
 // flag instead of silently parsing as 0 / wrapping (strtoull's behaviour) —
 // a long-running serve process must not start with a misread configuration.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstddef>
+#include <initializer_list>
 #include <iostream>
 #include <limits>
 #include <map>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace dtree::util {
@@ -62,6 +66,17 @@ public:
     /// Every parsed flag, name -> value ("1" for bare booleans). Used by the
     /// bench JSON reports to record the exact configuration of a run.
     const std::map<std::string, std::string>& flags() const { return flags_; }
+
+    /// The first parsed flag (in name order) not in `known`, or "" when
+    /// every flag is known.
+    std::string first_unknown(std::initializer_list<std::string_view> known) const {
+        for (const auto& [name, value] : flags_) {
+            if (std::find(known.begin(), known.end(), name) == known.end()) {
+                return name;
+            }
+        }
+        return {};
+    }
 
     /// Comma-separated unsigned list, e.g. --threads=1,2,4,8.
     std::vector<unsigned> get_list(const std::string& name,

@@ -76,13 +76,6 @@ enum class Counter : unsigned {
     datalog_ingest_batches,      ///< Engine::ingest() batches accepted
     datalog_ingest_tuples,       ///< genuinely new tuples buffered by ingest()
     datalog_refixpoint_iterations, ///< fixpoint iterations run by refixpoint()
-    // runtime/scheduler.h
-    sched_regions,         ///< parallel regions dispatched to the pool
-    sched_tasks,           ///< chunks executed (any worker, any mode)
-    sched_steals,          ///< chunks taken from another worker's deque
-    sched_steal_failures,  ///< steal probes that found the victim empty
-    sched_idle_ns,         ///< time workers spent parked or waiting at a region end
-    sched_threads_spawned, ///< pool threads ever created (flat after startup)
     // core/btree.h snapshot layer (DESIGN.md §11)
     epoch_advances,      ///< advance_epoch() calls (delta rotations, mostly)
     snapshot_pins,       ///< Snapshot handles pinned
@@ -139,12 +132,6 @@ inline const char* counter_name(Counter c) {
         case Counter::datalog_ingest_batches: return "datalog_ingest_batches";
         case Counter::datalog_ingest_tuples: return "datalog_ingest_tuples";
         case Counter::datalog_refixpoint_iterations: return "datalog_refixpoint_iterations";
-        case Counter::sched_regions: return "sched_regions";
-        case Counter::sched_tasks: return "sched_tasks";
-        case Counter::sched_steals: return "sched_steals";
-        case Counter::sched_steal_failures: return "sched_steal_failures";
-        case Counter::sched_idle_ns: return "sched_idle_ns";
-        case Counter::sched_threads_spawned: return "sched_threads_spawned";
         case Counter::epoch_advances: return "epoch_advances";
         case Counter::snapshot_pins: return "snapshot_pins";
         case Counter::snapshot_cow_images: return "snapshot_cow_images";

@@ -12,11 +12,10 @@
 // repeated calls reuse the same parked threads. The observable contract is
 // unchanged — fn runs concurrently on T distinct threads, the call returns
 // after all of them finish (with the same happens-before as join), and
-// exceptions escaping fn terminate. parallel_blocks keeps the seed's static
-// block partition by default; set DATATREE_SCHED=steal (or
-// runtime::set_default_mode) to route it through the chunked work-stealing
-// scheduler instead, with the chunk grain from DATATREE_GRAIN /
-// runtime::set_default_grain.
+// exceptions escaping fn terminate. parallel_blocks is the paper's static
+// block partition for bench harnesses — one call per thread with its
+// contiguous block — not a scheduler mode: code that wants rebalancing calls
+// runtime::Scheduler::parallel_for (work stealing) directly.
 
 #include <cstddef>
 #include <cstdlib>
@@ -57,28 +56,15 @@ void run_threads(unsigned T, Fn&& fn) {
     runtime::Scheduler::instance().run_team(T, std::forward<Fn>(fn));
 }
 
-/// Parallel for over [0, n) as fn(thread_id, begin, end). By default each of
-/// T threads receives its contiguous block exactly once (the seed's static
-/// partition); under DATATREE_SCHED=steal the range is instead cut into
-/// grain-sized chunks rebalanced by work stealing, and fn may be called
-/// several times per thread with sub-ranges.
+/// Parallel for over [0, n) as fn(thread_id, begin, end): fn is invoked
+/// exactly once per thread id in [0, T) with block_range(n, thread_id, T),
+/// including empty blocks when n < T.
 template <typename Fn>
 void parallel_blocks(std::size_t n, unsigned T, Fn&& fn) {
-    const runtime::SchedMode mode =
-        runtime::default_mode(runtime::SchedMode::Blocks);
-    if (mode == runtime::SchedMode::Blocks) {
-        // Preserve the seed contract exactly: fn is invoked once per thread
-        // id in [0, T), including empty blocks when n < T.
-        runtime::Scheduler::instance().run_team(T, [&](unsigned t) {
-            const auto [b, e] = block_range(n, t, T);
-            fn(t, b, e);
-        });
-        return;
-    }
-    runtime::Scheduler::instance().parallel_for(
-        n, T == 0 ? 1 : T,
-        {runtime::SchedMode::Steal, runtime::default_grain()},
-        std::forward<Fn>(fn));
+    runtime::Scheduler::instance().run_team(T, [&](unsigned t) {
+        const auto [b, e] = block_range(n, t, T);
+        fn(t, b, e);
+    });
 }
 
 } // namespace dtree::util

@@ -134,7 +134,7 @@ TortureResult torture_run(Tree& tree, const TortureOptions& opt) {
             const std::size_t total = opt.threads * opt.inserts_per_thread;
             runtime::Scheduler::instance().parallel_for(
                 total, opt.threads,
-                {runtime::SchedMode::Steal, opt.steal_grain},
+                {.grain = opt.steal_grain},
                 [&](unsigned wid, std::size_t b, std::size_t e) {
                     fail::set_thread_ordinal(wid);
                     Rng rng(opt.seed * 1000003 + round * 8191 + b * 131 + 3);

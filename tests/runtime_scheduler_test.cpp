@@ -4,8 +4,10 @@
 // deterministic regardless of core count.
 //
 // What must hold:
-//  * every index in [0, n) is executed exactly once, in every mode, across
-//    the inline / shared-claim / deque regimes and the grain-coarsening path;
+//  * every index in [0, n) is executed exactly once across the inline /
+//    shared-claim / deque regimes and the grain-coarsening path;
+//  * util::parallel_blocks calls fn exactly once per thread with its
+//    block_range, empty blocks included;
 //  * worker ids are stable across regions and map to distinct threads, with
 //    id 0 always the calling thread;
 //  * the pool never spawns a thread after startup (region reuse);
@@ -19,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <chrono>
@@ -32,17 +35,15 @@
 namespace {
 
 namespace fail = dtree::fail;
-using dtree::runtime::SchedMode;
 using dtree::runtime::Scheduler;
 
 Scheduler& sched() { return Scheduler::instance(); }
 
 // -- exact coverage ---------------------------------------------------------
 
-void check_coverage(std::size_t n, unsigned team, SchedMode mode,
-                    std::size_t grain) {
+void check_coverage(std::size_t n, unsigned team, std::size_t grain) {
     std::vector<std::atomic<std::uint32_t>> hits(n);
-    sched().parallel_for(n, team, {mode, grain},
+    sched().parallel_for(n, team, {.grain = grain},
                          [&](unsigned, std::size_t b, std::size_t e) {
                              for (std::size_t i = b; i < e; ++i) {
                                  hits[i].fetch_add(1, std::memory_order_relaxed);
@@ -50,48 +51,41 @@ void check_coverage(std::size_t n, unsigned team, SchedMode mode,
                          });
     for (std::size_t i = 0; i < n; ++i) {
         ASSERT_EQ(hits[i].load(), 1u)
-            << "index " << i << " (n=" << n << ", team=" << team << ", mode="
-            << dtree::runtime::mode_name(mode) << ", grain=" << grain << ")";
+            << "index " << i << " (n=" << n << ", team=" << team
+            << ", grain=" << grain << ")";
     }
 }
 
 TEST(SchedulerCoverage, EveryIndexExactlyOnce) {
-    for (const SchedMode mode : {SchedMode::Blocks, SchedMode::Steal}) {
-        check_coverage(0, 4, mode, 64);      // empty region
-        check_coverage(1, 4, mode, 64);      // single item (inline)
-        check_coverage(64, 4, mode, 64);     // exactly one grain (inline)
-        check_coverage(65, 4, mode, 64);     // barely two chunks
-        check_coverage(130, 4, mode, 64);    // chunk count < team possible
-        check_coverage(1000, 4, mode, 64);   // shared-claim regime (steal)
-        check_coverage(10000, 4, mode, 64);  // deque regime (steal)
-        check_coverage(10000, 3, mode, 7);   // odd team, odd grain
-        check_coverage(777, 16, mode, 1);    // more workers than some chunks
-    }
+    check_coverage(0, 4, 64);      // empty region
+    check_coverage(1, 4, 64);      // single item (inline)
+    check_coverage(64, 4, 64);     // exactly one grain (inline)
+    check_coverage(65, 4, 64);     // barely two chunks
+    check_coverage(130, 4, 64);    // chunk count < team possible
+    check_coverage(1000, 4, 64);   // shared-claim regime
+    check_coverage(10000, 4, 64);  // deque regime
+    check_coverage(10000, 3, 7);   // odd team, odd grain
+    check_coverage(777, 16, 1);    // more workers than some chunks
 }
 
 TEST(SchedulerCoverage, GrainCoarseningKeepsCoverage) {
     // grain 1 over 1M items with 4 workers wants 1M chunks; the deque bound
     // (kDequeCapacity per worker) forces coarsening. Coverage must survive.
-    check_coverage(1'000'000, 4, SchedMode::Steal, 1);
+    check_coverage(1'000'000, 4, 1);
 }
 
 TEST(SchedulerCoverage, ParallelBlocksStillCoversUnderBothDefaults) {
-    // util::parallel_blocks rides the pool now; exercise it through both
-    // process-default modes.
-    for (const SchedMode mode : {SchedMode::Blocks, SchedMode::Steal}) {
-        dtree::runtime::set_default_mode(mode);
-        std::vector<std::atomic<std::uint32_t>> hits(5000);
-        dtree::util::parallel_blocks(
-            hits.size(), 4, [&](unsigned, std::size_t b, std::size_t e) {
-                for (std::size_t i = b; i < e; ++i) {
-                    hits[i].fetch_add(1, std::memory_order_relaxed);
-                }
-            });
-        for (std::size_t i = 0; i < hits.size(); ++i) {
-            ASSERT_EQ(hits[i].load(), 1u) << i;
-        }
+    // util::parallel_blocks rides the pool (run_team) now.
+    std::vector<std::atomic<std::uint32_t>> hits(5000);
+    dtree::util::parallel_blocks(
+        hits.size(), 4, [&](unsigned, std::size_t b, std::size_t e) {
+            for (std::size_t i = b; i < e; ++i) {
+                hits[i].fetch_add(1, std::memory_order_relaxed);
+            }
+        });
+    for (std::size_t i = 0; i < hits.size(); ++i) {
+        ASSERT_EQ(hits[i].load(), 1u) << i;
     }
-    dtree::runtime::set_default_mode(SchedMode::Blocks); // restore seed default
 }
 
 // -- worker identity --------------------------------------------------------
@@ -149,10 +143,10 @@ TEST(SchedulerPool, NoThreadSpawnsAfterStartup) {
     const std::uint64_t spawned = s.stats().threads_spawned;
     EXPECT_GE(spawned, 7u) << "reserve(8) must have brought up 7 pool threads";
     for (int i = 0; i < 40; ++i) {
-        s.parallel_for(5000, 8, {SchedMode::Steal, 64},
+        s.parallel_for(5000, 8, {.grain = 64},
                        [](unsigned, std::size_t, std::size_t) {});
-        s.parallel_for(5000, 8, {SchedMode::Blocks, 64},
-                       [](unsigned, std::size_t, std::size_t) {});
+        dtree::util::parallel_blocks(
+            5000, 8, [](unsigned, std::size_t, std::size_t) {});
         s.run_team(8, [](unsigned) {});
     }
     EXPECT_EQ(s.stats().threads_spawned, spawned)
@@ -164,7 +158,7 @@ TEST(SchedulerPool, GrainDecisionRunsSmallWorkInline) {
     const std::uint64_t regions_before = s.stats().regions;
     unsigned calls = 0, wid = 99;
     std::size_t begin = 99, end = 0;
-    s.parallel_for(50, 8, {SchedMode::Steal, 64},
+    s.parallel_for(50, 8, {.grain = 64},
                    [&](unsigned w, std::size_t b, std::size_t e) {
                        ++calls;
                        wid = w;
@@ -180,21 +174,27 @@ TEST(SchedulerPool, GrainDecisionRunsSmallWorkInline) {
 }
 
 TEST(SchedulerPool, BlocksModeMatchesBlockRange) {
-    constexpr std::size_t kN = 101;
+    // util::parallel_blocks is the static partition the benches use: exactly
+    // one call per thread id in [0, T) with its block_range — empty blocks
+    // included when n < T.
     constexpr unsigned kTeam = 4;
-    std::mutex mu;
-    std::vector<std::array<std::size_t, 3>> seen; // (slot, b, e)
-    sched().parallel_for(kN, kTeam, {SchedMode::Blocks, 1},
-                         [&](unsigned w, std::size_t b, std::size_t e) {
-                             std::lock_guard<std::mutex> g(mu);
-                             seen.push_back({w, b, e});
-                         });
-    ASSERT_EQ(seen.size(), kTeam) << "one task per worker in Blocks mode";
-    for (const auto& [w, b, e] : seen) {
-        const auto [eb, ee] =
-            dtree::util::block_range(kN, static_cast<unsigned>(w), kTeam);
-        EXPECT_EQ(b, eb) << "slot " << w;
-        EXPECT_EQ(e, ee) << "slot " << w;
+    for (const std::size_t n : {std::size_t{101}, std::size_t{2}}) {
+        std::mutex mu;
+        std::vector<std::array<std::size_t, 3>> seen; // (slot, b, e)
+        dtree::util::parallel_blocks(
+            n, kTeam, [&](unsigned w, std::size_t b, std::size_t e) {
+                std::lock_guard<std::mutex> g(mu);
+                seen.push_back({w, b, e});
+            });
+        ASSERT_EQ(seen.size(), kTeam) << "one call per thread (n=" << n << ")";
+        std::sort(seen.begin(), seen.end());
+        for (unsigned t = 0; t < kTeam; ++t) {
+            const auto [w, b, e] = seen[t];
+            const auto [eb, ee] = dtree::util::block_range(n, t, kTeam);
+            EXPECT_EQ(w, t) << "slot ids must be 0..T-1 (n=" << n << ")";
+            EXPECT_EQ(b, eb) << "slot " << t << " n=" << n;
+            EXPECT_EQ(e, ee) << "slot " << t << " n=" << n;
+        }
     }
 }
 
@@ -206,7 +206,7 @@ TEST(SchedulerPool, NestedRegionsRunInline) {
     std::array<std::atomic<unsigned>, kTeam> inner_wid_max{};
     sched().run_team(kTeam, [&](unsigned slot) {
         sched().parallel_for(
-            1000, kTeam, {SchedMode::Steal, 8},
+            1000, kTeam, {.grain = 8},
             [&, slot](unsigned w, std::size_t b, std::size_t e) {
                 covered[slot].fetch_add(e - b);
                 unsigned prev = inner_wid_max[slot].load();
@@ -235,7 +235,7 @@ TEST(SchedulerStealing, StallForcedImbalanceProducesSteals) {
     auto& s = sched();
     const auto before = s.stats();
     std::atomic<std::uint64_t> sum{0};
-    s.parallel_for(4096, 4, {SchedMode::Steal, 8},
+    s.parallel_for(4096, 4, {.grain = 8},
                    [&](unsigned, std::size_t b, std::size_t e) {
                        sum.fetch_add(e - b, std::memory_order_relaxed);
                    });
@@ -252,7 +252,7 @@ TEST(SchedulerStealing, SmallRegionSharedClaimDoesNotSteal) {
     const auto before = s.stats();
     // 6 chunks over team 4 -> chunks <= 2 * team -> shared-claim fallback.
     std::atomic<std::uint64_t> sum{0};
-    s.parallel_for(6 * 64, 4, {SchedMode::Steal, 64},
+    s.parallel_for(6 * 64, 4, {.grain = 64},
                    [&](unsigned, std::size_t b, std::size_t e) {
                        sum.fetch_add(e - b, std::memory_order_relaxed);
                    });
@@ -270,7 +270,7 @@ TEST(SchedulerStealing, StealDelaySiteIsExercised) {
     fail::set_probability(fail::Site::sched_steal_delay, 1.0);
     fail::set_delay(fail::Site::sched_steal_delay, 64);
     std::atomic<std::uint64_t> sum{0};
-    sched().parallel_for(8192, 4, {SchedMode::Steal, 8},
+    sched().parallel_for(8192, 4, {.grain = 8},
                          [&](unsigned, std::size_t b, std::size_t e) {
                              sum.fetch_add(e - b, std::memory_order_relaxed);
                          });
@@ -290,7 +290,7 @@ TEST(SchedulerDeathTest, ExceptionEscapingTaskTerminates) {
     EXPECT_DEATH(
         {
             Scheduler::instance().parallel_for(
-                1000, 2, {SchedMode::Steal, 8},
+                1000, 2, {.grain = 8},
                 [](unsigned, std::size_t b, std::size_t) {
                     if (b == 0) throw std::runtime_error("task failed");
                 });

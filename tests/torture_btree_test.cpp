@@ -248,7 +248,7 @@ void run_bulk_pool_torture_on(std::uint64_t seed, bool inject) {
     std::vector<typename TreeT::operation_hints> hints(kTeam);
     sched.parallel_for(
         kRuns, kTeam,
-        {dtree::runtime::SchedMode::Steal, /*grain=*/1},
+        {.grain = 1},
         [&](unsigned wid, std::size_t b, std::size_t e) {
             for (std::size_t r = b; r < e; ++r) {
                 tree.insert_sorted_run(runs[r].begin(), runs[r].end(),

@@ -142,6 +142,21 @@ TEST(Cli, RejectsOverflowingValues) {
     EXPECT_THROW(cli.get_list("threads", {}), std::runtime_error);
 }
 
+// A misspelt or retired flag must be reported, not silently ignored: a
+// tool with a closed flag set exits on the first unknown name.
+TEST(Cli, FirstUnknownNamesAFlagOutsideTheKnownSet) {
+    const char* argv[] = {"prog", "--jobs=4", "--stats", "--sched=blocks",
+                          "--grain=8"};
+    Cli cli(5, const_cast<char**>(argv));
+    EXPECT_EQ(cli.first_unknown({"jobs", "stats"}), "grain");
+    EXPECT_EQ(cli.first_unknown({"jobs", "stats", "grain"}), "sched");
+    EXPECT_EQ(cli.first_unknown({"jobs", "stats", "grain", "sched"}), "");
+
+    const char* bare[] = {"prog", "positional"};
+    Cli none(2, const_cast<char**>(bare));
+    EXPECT_EQ(none.first_unknown({}), "") << "positionals are not flags";
+}
+
 // -- RNG helpers ---------------------------------------------------------------
 
 TEST(Random, UniformIntWithinBounds) {
