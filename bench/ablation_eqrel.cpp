@@ -51,6 +51,11 @@ double eqrel_closure(std::size_t classes, std::size_t k, std::size_t& pairs) {
 
 int main(int argc, char** argv) {
     dtree::util::Cli cli(argc, argv);
+    if (const std::string bad =
+            cli.first_unknown({"classes", "class_size", "json"});
+        !bad.empty()) {
+        return dtree::bench::unknown_flag(bad);
+    }
     const std::size_t classes = cli.get_u64("classes", 64);
     const std::size_t k = cli.get_u64("class_size", 256);
 

@@ -43,6 +43,10 @@ double run(std::size_t n, unsigned threads, bool ordered, InsertFn&& insert) {
 
 int main(int argc, char** argv) {
     dtree::util::Cli cli(argc, argv);
+    if (const std::string bad = cli.first_unknown({"n", "threads", "json"});
+        !bad.empty()) {
+        return unknown_flag(bad);
+    }
     const std::size_t n = cli.get_u64("n", 1'000'000);
     const auto threads = cli.get_list("threads", {1, 2, 4, 8});
     JsonReport report("ablation_locking", cli);

@@ -119,6 +119,10 @@ struct Row {
 
 int main(int argc, char** argv) {
     dtree::util::Cli cli(argc, argv);
+    if (const std::string bad = cli.first_unknown({"n", "threads", "json"});
+        !bad.empty()) {
+        return unknown_flag(bad);
+    }
     const std::size_t n = cli.get_u64("n", 2'000'000);
     const auto thread_list = cli.get_list("threads", {1, 2, 4});
     const Workload w = make_workload(n);

@@ -45,6 +45,10 @@ void run(const std::vector<Point>& ordered, const std::vector<Point>& random,
 
 int main(int argc, char** argv) {
     dtree::util::Cli cli(argc, argv);
+    if (const std::string bad = cli.first_unknown({"n", "json"});
+        !bad.empty()) {
+        return unknown_flag(bad);
+    }
     const std::size_t n = cli.get_u64("n", 1'000'000);
     std::size_t side = 1;
     while (side * side < n) ++side;

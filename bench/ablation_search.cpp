@@ -170,6 +170,10 @@ std::pair<std::vector<Point>, std::vector<Point>> even_odd_points(
 
 int main(int argc, char** argv) {
     dtree::util::Cli cli(argc, argv);
+    if (const std::string bad = cli.first_unknown({"n", "reps", "json"});
+        !bad.empty()) {
+        return unknown_flag(bad);
+    }
     const std::size_t n = cli.get_u64("n", 1'000'000);
     const unsigned reps =
         static_cast<unsigned>(cli.get_u64("reps", 3));

@@ -61,6 +61,14 @@ inline std::vector<std::size_t> grid_sides(const util::Cli& cli) {
     return {300, 600, 1000}; // quick mode: finishes in seconds
 }
 
+/// Reports a flag outside a bench's usage line; main returns the result
+/// (exit status 2), so a misspelt or retired option fails loudly instead of
+/// being silently ignored (util::Cli stores every --flag unvalidated).
+inline int unknown_flag(const std::string& name) {
+    std::cerr << "unknown flag --" << name << "\n";
+    return 2;
+}
+
 inline std::string label(std::size_t side) {
     return std::to_string(side) + "^2";
 }

@@ -167,6 +167,12 @@ void run_section(const char* title, std::size_t n, bool ordered,
 
 int main(int argc, char** argv) {
     dtree::util::Cli cli(argc, argv);
+    if (const std::string bad =
+            cli.first_unknown({"full", "n", "threads", "search", "json",
+                               "smoke", "fingerprints"});
+        !bad.empty()) {
+        return unknown_flag(bad);
+    }
     JsonReport report("fig4_parallel_insert", cli);
     const std::size_t n =
         cli.get_u64("n", cli.get_bool("full") ? 100'000'000ull : 2'000'000ull);

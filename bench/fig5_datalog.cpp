@@ -63,6 +63,11 @@ void run_section(const char* title, const Workload& w,
 
 int main(int argc, char** argv) {
     dtree::util::Cli cli(argc, argv);
+    if (const std::string bad =
+            cli.first_unknown({"full", "scale", "threads", "json"});
+        !bad.empty()) {
+        return unknown_flag(bad);
+    }
     const bool full = cli.get_bool("full");
     // Quick-mode scales keep the quadratic full-scan joins of the hash-based
     // engines inside a couple of minutes; raise with --scale on big machines.

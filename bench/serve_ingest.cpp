@@ -160,6 +160,12 @@ RunResult run_workload(const Workload& w, unsigned batches, unsigned jobs,
 
 int main(int argc, char** argv) {
     util::Cli cli(argc, argv);
+    if (const std::string bad =
+            cli.first_unknown({"workload", "batches", "jobs", "probes", "smoke",
+                               "full", "json"});
+        !bad.empty()) {
+        return bench::unknown_flag(bad);
+    }
     bench::JsonReport report("serve_ingest", cli);
 
     std::size_t tc_nodes = 220, tc_edges = 660, doop_scale = 200, ec2_scale = 70;

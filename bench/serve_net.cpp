@@ -179,6 +179,12 @@ BenchResult run_bench(const datalog::Workload& w, unsigned clients,
 
 int main(int argc, char** argv) {
     util::Cli cli(argc, argv);
+    if (const std::string bad =
+            cli.first_unknown({"clients", "jobs", "batches", "smoke", "full",
+                               "json"});
+        !bad.empty()) {
+        return bench::unknown_flag(bad);
+    }
     bench::JsonReport report("serve_net", cli);
 
     std::size_t nodes = 200, edges = 700;

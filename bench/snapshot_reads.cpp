@@ -126,6 +126,12 @@ CellResult run_cell(unsigned readers, unsigned writers, std::size_t prefill,
 
 int main(int argc, char** argv) {
     util::Cli cli(argc, argv);
+    if (const std::string bad =
+            cli.first_unknown({"readers", "writers", "n", "ops", "scan",
+                               "smoke", "full", "json"});
+        !bad.empty()) {
+        return bench::unknown_flag(bad);
+    }
     bench::JsonReport report("snapshot_reads", cli);
 
     std::size_t prefill = 200000, ops = 100000;

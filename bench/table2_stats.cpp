@@ -61,6 +61,11 @@ void print_row(const char* name, double a, double b) {
 
 int main(int argc, char** argv) {
     dtree::util::Cli cli(argc, argv);
+    if (const std::string bad =
+            cli.first_unknown({"full", "scale", "json", "fingerprints"});
+        !bad.empty()) {
+        return dtree::bench::unknown_flag(bad);
+    }
     const bool full = cli.get_bool("full");
     const std::size_t scale = cli.get_u64("scale", full ? 20000 : 1200);
     const bool fingerprints = cli.get_bool("fingerprints");

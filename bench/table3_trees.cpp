@@ -62,6 +62,11 @@ struct OurTree {
 
 int main(int argc, char** argv) {
     dtree::util::Cli cli(argc, argv);
+    if (const std::string bad =
+            cli.first_unknown({"full", "n", "threads", "json"});
+        !bad.empty()) {
+        return unknown_flag(bad);
+    }
     const std::size_t n =
         cli.get_u64("n", cli.get_bool("full") ? 10'000'000ull : 1'000'000ull);
     const auto threads = cli.get_list("threads", {1, 2, 4, 8});

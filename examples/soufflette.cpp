@@ -7,8 +7,9 @@
 // Input relations (`.decl r(...) input`) are loaded from DIR/r.facts
 // (tab-separated unsigned integers, one tuple per line); output relations
 // are written to DIR/r.csv. --stats prints Table-2-style statistics.
-// --profile prints a per-rule breakdown; --profile=FILE additionally writes
-// a machine-readable JSON record {runtime, stats, profile, scheduler,
+// --profile prints a per-rule breakdown and each index's tree shape (nodes,
+// depth, bytes, keys per node); --profile=FILE additionally writes a
+// machine-readable JSON record {runtime, stats, profile, indexes, scheduler,
 // metrics} to FILE (Soufflé-profiler style).
 // Parallel regions always run on the work-stealing pool
 // (runtime/scheduler.h); any flag outside the usage line exits 2.
@@ -132,6 +133,70 @@ void probe_loop(const EngineT& engine, const std::vector<std::string>& rels,
         }
         if (final_sweep) break;
     }
+}
+
+/// Source columns of an index order, comma-separated ("1,0").
+std::string order_text(const IndexOrder& o) {
+    std::string out;
+    for (unsigned c = 0; c < o.arity; ++c) {
+        if (c) out += ',';
+        out += std::to_string(o.order[c]);
+    }
+    return out;
+}
+
+/// Calls fn(relation name, index, order, shape) for every index of every
+/// declared relation (B-tree storages only; each shape is a tree walk).
+template <typename EngineT, typename Fn>
+void for_each_index_shape(const EngineT& engine, const AnalyzedProgram& prog,
+                          Fn&& fn) {
+    for (const auto& decl : prog.decls) {
+        const auto& rel = engine.relation(decl.name);
+        for (unsigned i = 0; i < rel.index_count(); ++i) {
+            fn(decl.name, i, order_text(rel.order(i)), rel.index_shape(i));
+        }
+    }
+}
+
+/// --profile: per-index tree shape, the text table and the JSON "indexes"
+/// section. keys/node shows how full the split policy and each relation's
+/// insert pattern left the nodes (DESIGN.md §16).
+template <typename EngineT>
+void print_index_shapes(const EngineT& engine, const AnalyzedProgram& prog) {
+    std::printf("\n-- index shape --\n");
+    std::printf("%-20s %-9s %10s %8s %7s %5s %10s %9s\n", "relation", "order",
+                "elements", "leaves", "inner", "depth", "KB", "keys/node");
+    for_each_index_shape(engine, prog, [](const std::string& rel, unsigned,
+                                          const std::string& order,
+                                          const auto& s) {
+        std::printf("%-20s %-9s %10zu %8zu %7zu %5zu %10.1f %6.1f/%u\n",
+                    rel.c_str(), order.c_str(), s.elements, s.leaf_nodes,
+                    s.inner_nodes, s.depth, s.memory_bytes / 1024.0,
+                    s.keys_per_node(), s.block_size);
+    });
+}
+
+template <typename EngineT>
+void write_index_shapes(dtree::json::Writer& w, const EngineT& engine,
+                        const AnalyzedProgram& prog) {
+    w.begin_array();
+    for_each_index_shape(engine, prog, [&w](const std::string& rel, unsigned i,
+                                            const std::string& order,
+                                            const auto& s) {
+        w.begin_object();
+        w.kv("relation", rel);
+        w.kv("index", i);
+        w.kv("order", order);
+        w.kv("elements", s.elements);
+        w.kv("leaves", s.leaf_nodes);
+        w.kv("inner_nodes", s.inner_nodes);
+        w.kv("depth", s.depth);
+        w.kv("bytes", s.memory_bytes);
+        w.kv("block_size", s.block_size);
+        w.kv("keys_per_node", s.keys_per_node());
+        w.end_object();
+    });
+    w.end_array();
 }
 
 /// Serve-loop tallies: per-commit latency plus totals, reported by --stats
@@ -429,6 +494,9 @@ int run_soufflette(const std::string& program_path, const dtree::util::Cli& cli,
                         p.head.c_str(), p.recursive ? " [recursive]" : "",
                         p.rule_index);
         }
+        if constexpr (EngineT::RelationT::shape_capable) {
+            print_index_shapes(engine, prog);
+        }
 
         // --profile=FILE (anything but a bare boolean): also emit the
         // machine-readable record.
@@ -461,6 +529,10 @@ int run_soufflette(const std::string& program_path, const dtree::util::Cli& cli,
             w.begin_array();
             for (const auto& p : engine.profile()) p.write_json(w);
             w.end_array();
+            if constexpr (EngineT::RelationT::shape_capable) {
+                w.key("indexes");
+                write_index_shapes(w, engine, prog);
+            }
             w.key("scheduler");
             w.begin_object();
             w.kv("grain", engine.grain());

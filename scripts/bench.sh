@@ -39,7 +39,9 @@
 # (BENCH_fig4_fp.json, the --fingerprints leg) must show leaf layout v2 at
 # work — nonzero fp_probes / fp_skips / append_inserts — and the default
 # fig4/fig3/table2 records double as the fingerprints-OFF leg with all-zero
-# fp counters (DESIGN.md §15).
+# fp counters (DESIGN.md §15). The fig3 record's tree shapes must show the
+# right-spine split policy: at least 0.85*BlockSize keys per node after every
+# ordered fill (DESIGN.md §16).
 #
 # The v2 probe claim is timed apart from the counters: the metrics build's
 # counter increments distort the very cells it compares. ablation_search is
@@ -189,6 +191,19 @@ for name in ("BENCH_fig4.json", "BENCH_fig3.json", "BENCH_table2.json"):
         assert moff.get(counter, 0) == 0, \
             f"{name} (fingerprints-off) counter {counter} is nonzero"
 print("   fig4/fig3/table2 (fingerprints-off) fp counters all zero")
+
+# Split policy (DESIGN.md §16): ordered fills append on the right spine,
+# whose splits keep BlockSize-2 keys, so every B-tree row of the fig3 record
+# must reach 0.85*B keys per node after them (median splits leave ~B/2).
+ordered = [r for r in records["BENCH_fig3.json"]["shape"]
+           if r["fill"] == "ordered"]
+assert ordered, "fig3 record has no ordered-fill shape rows"
+for r in ordered:
+    kpn, b = r["keys_per_node"], r["block_size"]
+    assert kpn >= 0.85 * b, \
+        f"fig3 {r['structure']} ordered fill: {kpn:.1f} keys/node < 0.85 x {b}"
+print(f"   fig3 ordered fills: {min(r['keys_per_node'] for r in ordered):.1f}"
+      f" keys/node or more of B = {ordered[0]['block_size']}")
 
 # The point of the layout: on miss-dominated membership probes at the
 # default BlockSize, the v2 fingerprint probe must beat the v1 tree on the

@@ -269,6 +269,7 @@ public:
     void finalize(unsigned) {}
 
     Tree& tree() { return tree_; }
+    const Tree& tree() const { return tree_; }
 
     // -- snapshot surface (DESIGN.md §11; snapshot-enabled trees only) -------
 

@@ -370,7 +370,7 @@ public:
         // so one epoch load covers the whole build.
         const std::uint64_t se = out.snap_epoch_now();
         out.snap_retain_root(nullptr, se);
-        out.root_.store(out.build_packed(it, n, depth, se));
+        out.root_.store(out.build_packed(it, n, depth, se, /*spine=*/true));
         return out;
     }
 
@@ -389,13 +389,14 @@ private:
     /// sorted stream; all leaves end up at distance `depth` below the
     /// returned node. Consumption is exactly in-order — leaf keys, then the
     /// separator, then the next child — which is what lets the packed
-    /// loader run off a forward iterator.
+    /// loader run off a forward iterator. `spine` marks the subtree's root
+    /// as the last node on its level; its last child inherits the mark.
     template <typename It>
     NodeT* build_packed(It& it, std::size_t s, unsigned depth,
-                        std::uint64_t snap_e) {
+                        std::uint64_t snap_e, bool spine) {
         if (depth == 0) {
             assert(s >= 1 && s <= BlockSize);
-            NodeT* leaf = make_leaf();
+            NodeT* leaf = make_leaf(spine);
             for (std::size_t i = 0; i < s; ++i, ++it) {
                 leaf->template key_store<SeqAccess>(static_cast<unsigned>(i), *it);
             }
@@ -410,11 +411,12 @@ private:
         const std::size_t c =
             std::max<std::size_t>(2, (s + 1 + child_cap) / (child_cap + 1));
         assert(c <= BlockSize + 1);
-        InnerT* node = make_inner();
+        InnerT* node = make_inner(spine);
         const std::size_t r = s - (c - 1); // keys going into the children
         for (std::size_t i = 0; i < c; ++i) {
             const std::size_t share = r / c + (i < r % c ? 1 : 0);
-            NodeT* child = build_packed(it, share, depth - 1, snap_e);
+            NodeT* child = build_packed(it, share, depth - 1, snap_e,
+                                        spine && i + 1 == c);
             node->children[i].store(child);
             child->parent.store(node);
             child->position.store(static_cast<std::uint32_t>(i));
@@ -616,6 +618,14 @@ public:
         std::size_t leaf_nodes = 0;
         std::size_t depth = 0;       // 1 = root-only
         std::size_t memory_bytes = 0;
+        unsigned block_size = BlockSize;
+
+        /// Mean keys per node: BlockSize-2 on a tree grown by appends,
+        /// about BlockSize/2 where median splits dominate (DESIGN.md §16).
+        double keys_per_node() const {
+            const std::size_t nodes = inner_nodes + leaf_nodes;
+            return nodes ? static_cast<double>(elements) / nodes : 0.0;
+        }
     };
 
     tree_stats stats() const {
@@ -686,7 +696,7 @@ public:
         if (!r) return {};
         if (r->parent.load() != nullptr) return "root has a parent";
         long leaf_depth = -1;
-        return check_node(r, nullptr, nullptr, 1, leaf_depth);
+        return check_node(r, nullptr, nullptr, 1, leaf_depth, /*spine=*/true);
     }
 
     // -- snapshots (WithSnapshots instantiations only; DESIGN.md §11) --------
@@ -1166,7 +1176,7 @@ private:
     bool insert_sequential_from(const Key& k, operation_hints& hints, NodeT* start) {
         NodeT* cur = root_.load();
         if (!cur) {
-            NodeT* leaf = make_leaf();
+            NodeT* leaf = make_leaf(/*spine=*/true);
             leaf->template key_store<SeqAccess>(0, k);
             leaf->num_elements.store(1);
             fp_reset_leaf(leaf);
@@ -1206,10 +1216,9 @@ private:
         }
 
         if (cur->full()) {
-            split_and_propagate(cur, snap_epoch_now());
-            // The leaf's key range halved; simply re-run the insert (the
-            // concurrent path restarts in exactly the same way).
-            return insert_sequential_from(k, hints, nullptr);
+            // Re-run the insert on the half that now covers k.
+            return insert_sequential_from(
+                k, hints, split_and_propagate(cur, k, snap_epoch_now()));
         }
 
         const unsigned n = cur->num_elements.load();
@@ -1240,7 +1249,7 @@ private:
                 continue;
             }
             if (root_.load() == nullptr) {
-                NodeT* leaf = make_leaf();
+                NodeT* leaf = make_leaf(/*spine=*/true);
                 // Unpublished: plain stores are fine.
                 leaf->template key_store<SeqAccess>(0, k);
                 leaf->num_elements.store(1);
@@ -1383,7 +1392,7 @@ private:
         if (!leaf->lock.try_upgrade_to_write(lease)) return LeafResult::Retry;
         // Lease validated atomically by the upgrade: n and pos are accurate.
         if (leaf->full()) {
-            split_concurrent(leaf);
+            split_concurrent(leaf, k);
             leaf->lock.end_write();
             return LeafResult::Retry;
         }
@@ -1420,7 +1429,7 @@ private:
         DTREE_FAILPOINT_DELAY(upgrade_delay);
         if (!leaf->lock.try_upgrade_to_write(lease)) return LeafResult::Retry;
         if (leaf->full()) {
-            split_concurrent(leaf);
+            split_concurrent(leaf, k);
             leaf->lock.end_write();
             return LeafResult::Retry;
         }
@@ -1436,8 +1445,10 @@ private:
     /// Concurrent split (Alg. 2): write-locks the ancestor path bottom-up
     /// (every full ancestor plus the first non-full one, or the tree's root
     /// lock), performs the structural split, then unlocks top-down.
-    /// Precondition: `node` is write-locked by the caller and full.
-    void split_concurrent(NodeT* node) {
+    /// Precondition: `node` is write-locked by the caller and full, and
+    /// `pending` is the key whose insertion overflowed it. Returns the half
+    /// whose key range holds `pending` (see split_and_propagate).
+    NodeT* split_concurrent(NodeT* node, const Key& pending) {
         // Fault injection: hold the write-locked leaf before acquiring any
         // ancestor lock, widening the window in which concurrent inserts see
         // an odd version and must spin or retry.
@@ -1483,7 +1494,8 @@ private:
         // used for every retention the whole restructuring performs.
         NodeT* created[64];
         unsigned n_created = 0;
-        split_and_propagate(node, snap_epoch_now(), created, &n_created);
+        NodeT* const target = split_and_propagate(node, pending, snap_epoch_now(),
+                                                  created, &n_created);
 
         // Phase 3: unlock top-down (lines 28-35).
         for (unsigned i = depth; i-- > 0;) {
@@ -1496,37 +1508,53 @@ private:
         for (unsigned i = n_created; i-- > 0;) {
             created[i]->lock.end_write();
         }
+        return target;
     }
 
     /// Structural split of a full node; shared by the sequential path (called
     /// directly) and the concurrent path (called with all affected nodes
-    /// write-locked). Keeps the lower half in `node`, moves the upper half to
-    /// a fresh right sibling, promotes the median to the parent — splitting
-    /// full parents recursively (they are locked, see split_concurrent).
-    /// `snap_e` is the operation epoch (snap_epoch_now() loaded once with all
-    /// locks held): every node the restructuring touches is stamped with it,
-    /// so the split is visible to a boundary entirely or not at all.
-    void split_and_propagate(NodeT* node, std::uint64_t snap_e,
-                             NodeT** created = nullptr,
-                             unsigned* n_created = nullptr) {
+    /// write-locked). Keeps the lower keys in `node`, moves the upper ones to
+    /// a fresh right sibling, promotes the key between them to the parent —
+    /// splitting full parents recursively (they are locked, see
+    /// split_concurrent). `pending` is the key whose insertion overflowed
+    /// `node`; the split point depends on it (DESIGN.md §16):
+    ///   * right-spine append — `node` is the last on its level and `pending`
+    ///     sorts after all of its keys: `node` keeps BlockSize-2 keys and the
+    ///     sibling starts with one, so ascending inserts leave nodes with
+    ///     BlockSize-2 keys behind instead of half-full ones;
+    ///   * every other split cuts at the median, as in the paper.
+    /// The sibling inherits the spine flag. `snap_e` is the operation epoch
+    /// (snap_epoch_now() loaded once with all locks held): every node the
+    /// restructuring touches is stamped with it, so the split is visible to
+    /// a boundary entirely or not at all. Returns the half whose key range
+    /// holds `pending`.
+    NodeT* split_and_propagate(NodeT* node, const Key& pending,
+                               std::uint64_t snap_e, NodeT** created = nullptr,
+                               unsigned* n_created = nullptr) {
         assert(node->full());
         if (node->inner) {
             DTREE_METRIC_INC(btree_inner_splits);
         } else {
             DTREE_METRIC_INC(btree_leaf_splits);
             // v2: merge the append zone into the sorted prefix FIRST — the
-            // median read and the halving below assume sorted keys, and the
-            // retained image (snap_retain) must be the merged view. We hold
-            // the write lock / exclusive access, as consolidation requires.
+            // split-point read and the halving below assume sorted keys, and
+            // the retained image (snap_retain) must be the merged view. We
+            // hold the write lock / exclusive access, as consolidation
+            // requires.
             if constexpr (WithFingerprints) leaf_consolidate(node);
         }
-        constexpr unsigned mid = BlockSize / 2;
+        // Exclusive access: plain reads of node's own keys and flag.
+        const bool spine = node->spine.load();
+        const unsigned mid = spine && comp_(node->keys[BlockSize - 1], pending) < 0
+                                 ? BlockSize - 2
+                                 : BlockSize / 2;
         // Pre-split content (keys AND children) for readers.
         snap_retain(node, snap_e);
-        const Key median = node->keys[mid]; // we are the only writer: plain read
+        const Key median = node->keys[mid];
 
-        NodeT* sibling = node->inner ? static_cast<NodeT*>(make_inner())
-                                     : make_leaf();
+        NodeT* sibling = node->inner ? static_cast<NodeT*>(make_inner(spine))
+                                     : make_leaf(spine);
+        node->spine.store(false);
         snap_mark_fresh(sibling, snap_e);
         // A fresh *inner* sibling becomes reachable before this split
         // finishes: the rehoming loop below publishes it through its
@@ -1572,11 +1600,12 @@ private:
             }
         }
 
+        NodeT* const target = comp_(pending, median) < 0 ? node : sibling;
         InnerT* parent = node->parent.load();
         if (!parent) {
             // node was the root: grow the tree (root lock is held /
             // sequential mode has exclusive access anyway).
-            InnerT* new_root = make_inner();
+            InnerT* new_root = make_inner(/*spine=*/true);
             snap_mark_fresh(new_root, snap_e);
             new_root->template key_store<SeqAccess>(0, median);
             new_root->children[0].store(node);
@@ -1592,16 +1621,20 @@ private:
             snap_retain_root(node, snap_e); // root lock held / sequential
             root_.store_release(new_root);
             DTREE_METRIC_INC(btree_root_replacements);
-            return;
+            return target;
         }
         if (parent->full()) {
-            split_and_propagate(parent, snap_e, created, n_created);
+            // The median is the parent's pending key: a spine node's median
+            // sorts after all of the (spine) parent's keys, so the bias
+            // carries up the spine.
+            split_and_propagate(parent, median, snap_e, created, n_created);
             // The parent's split may have rehomed `node` under the parent's
             // new sibling; its parent/position fields are up to date (we hold
             // the necessary locks in concurrent mode).
             parent = node->parent.load();
         }
         insert_child(parent, node->position.load(), median, sibling, snap_e);
+        return target;
     }
 
     /// Inserts (median, right_child) into a non-full inner node directly
@@ -1729,7 +1762,7 @@ private:
             root_lock_.abort_write(); // lost the race; nothing modified
             return first;
         }
-        NodeT* leaf = make_leaf(); // unpublished: plain stores are fine
+        NodeT* leaf = make_leaf(/*spine=*/true); // unpublished: plain stores
         unsigned nb = 0;
         std::size_t consumed = 0;
         Key prev{};
@@ -1768,7 +1801,9 @@ private:
     /// Hint fast path for one bulk segment: upgrade the cached leaf directly
     /// and fill up to its own last key (inclusive — within [keys[0],
     /// keys[n-1]] the leaf is authoritative regardless of ancestor
-    /// separators). nullopt falls through to the descent path.
+    /// separators), or without bound on the right spine's last leaf, which
+    /// owns every key above its first. nullopt falls through to the descent
+    /// path.
     template <typename It>
     std::optional<It> try_bulk_hint(It first, It last, operation_hints& hints,
                                     std::size_t& inserted) {
@@ -1795,14 +1830,13 @@ private:
         const unsigned n = leaf->num_elements.load(); // exact: write-locked
         const Key hi = leaf->keys[n - 1];
         bool need_split = false;
-        It next = leaf_fill_sorted(leaf, first, last, &hi,
+        It next = leaf_fill_sorted(leaf, first, last,
+                                   leaf->spine.load() ? nullptr : &hi,
                                    /*hi_inclusive=*/true, inserted, need_split);
         if (need_split) {
-            split_concurrent(leaf);
-            leaf->lock.end_write();
-        } else {
-            leaf->lock.end_write();
+            hints.set(HintKind::Insert, split_concurrent(leaf, *next));
         }
+        leaf->lock.end_write();
         return next;
     }
 
@@ -1873,13 +1907,9 @@ private:
                                        has_hi ? &hi : nullptr,
                                        /*hi_inclusive=*/false, inserted,
                                        need_split);
-            if (need_split) {
-                split_concurrent(cur);
-                cur->lock.end_write();
-            } else {
-                cur->lock.end_write();
-                hints.set(HintKind::Insert, cur);
-            }
+            hints.set(HintKind::Insert,
+                      need_split ? split_concurrent(cur, *next) : cur);
+            cur->lock.end_write();
             return next;
         }
     }
@@ -1892,7 +1922,7 @@ private:
                         std::size_t& inserted) {
         NodeT* cur = root_.load();
         if (!cur) {
-            NodeT* leaf = make_leaf();
+            NodeT* leaf = make_leaf(/*spine=*/true);
             unsigned nb = 0;
             std::size_t consumed = 0;
             Key prev{};
@@ -1934,13 +1964,13 @@ private:
             const unsigned n = h->num_elements.load();
             const Key hi = h->keys[n - 1];
             bool need_split = false;
-            It next = leaf_fill_sorted(h, first, last, &hi,
+            It next = leaf_fill_sorted(h, first, last,
+                                       h->spine.load() ? nullptr : &hi,
                                        /*hi_inclusive=*/true, inserted,
                                        need_split);
             if (need_split) {
-                split_and_propagate(h, snap_epoch_now());
-            } else {
-                hints.set(HintKind::Insert, h);
+                hints.set(HintKind::Insert,
+                          split_and_propagate(h, *next, snap_epoch_now()));
             }
             return next;
         }
@@ -1964,11 +1994,9 @@ private:
         It next = leaf_fill_sorted(cur, first, last, has_hi ? &hi : nullptr,
                                    /*hi_inclusive=*/false, inserted,
                                    need_split);
-        if (need_split) {
-            split_and_propagate(cur, snap_epoch_now());
-        } else {
-            hints.set(HintKind::Insert, cur);
-        }
+        hints.set(HintKind::Insert,
+                  need_split ? split_and_propagate(cur, *next, snap_epoch_now())
+                             : cur);
         return next;
     }
 
@@ -1977,56 +2005,64 @@ private:
     /// Node allocation. Nodes are freed only wholesale, by
     /// detail::free_subtree from clear()/the destructor (or when a retired
     /// snapshot subtree is dropped).
-    NodeT* make_leaf() {
+    /// `spine` marks the node as the last on its level; set only while
+    /// the node is unpublished.
+    NodeT* make_leaf(bool spine = false) {
         DTREE_METRIC_INC(alloc_leaf_nodes);
-        return new NodeT(/*is_inner=*/false);
+        NodeT* leaf = new NodeT(/*is_inner=*/false);
+        leaf->spine.store(spine);
+        return leaf;
     }
-    InnerT* make_inner() {
+    InnerT* make_inner(bool spine = false) {
         DTREE_METRIC_INC(alloc_inner_nodes);
-        return new InnerT();
+        InnerT* node = new InnerT();
+        node->spine.store(spine);
+        return node;
     }
 
-    /// Does the (leaf) node's current key range contain k? Racing callers
-    /// (A = Access) must validate the node's lease afterwards; phase reads
-    /// pass SeqAccess. Layout v2 reads the cached min/max (keys[0]/keys[n-1]
-    /// carry no range meaning once an append zone exists).
+    /// A leaf's smallest and largest key (n = its count, n > 0). Layout v2
+    /// reads the cached bounds: keys[0]/keys[n-1] carry no range meaning
+    /// once an append zone exists.
+    static const Key& leaf_min(const NodeT* leaf) {
+        if constexpr (WithFingerprints) {
+            return leaf->fpst.min_key;
+        } else {
+            return leaf->keys[0];
+        }
+    }
+    static const Key& leaf_max(const NodeT* leaf, unsigned n) {
+        if constexpr (WithFingerprints) {
+            (void)n;
+            return leaf->fpst.max_key;
+        } else {
+            return leaf->keys[n - 1];
+        }
+    }
+
+    /// Does the (leaf) node's current key range contain k? That range is
+    /// [min, max], or [min, +inf) for the right spine's last leaf: no key
+    /// above it can live anywhere else, so appends hit the insert hint.
+    /// Racing callers (A = Access) must validate the node's lease
+    /// afterwards; phase reads pass SeqAccess.
     template <typename A = Access>
     bool leaf_covers(const NodeT* leaf, const Key& k) const {
         const unsigned n = leaf->num_elements.load();
         if (n == 0 || n > BlockSize) return false;
-        if constexpr (WithFingerprints) {
-            return A::compare(comp_, leaf->fpst.min_key, k) <= 0 &&
-                   A::compare(comp_, leaf->fpst.max_key, k) >= 0;
-        } else {
-            return A::compare(comp_, leaf->keys[0], k) <= 0 &&
-                   A::compare(comp_, leaf->keys[n - 1], k) >= 0;
-        }
+        return A::compare(comp_, leaf_min(leaf), k) <= 0 &&
+               (leaf->spine.load() ||
+                A::compare(comp_, leaf_max(leaf, n), k) >= 0);
     }
 
     /// Left-edge test for the bound-query hint paths (phase reads):
     /// smallest leaf key <= k.
     bool leaf_edge_le(const NodeT* leaf, const Key& k) const {
-        const Key& lo = [&]() -> const Key& {
-            if constexpr (WithFingerprints) {
-                return leaf->fpst.min_key;
-            } else {
-                return leaf->keys[0];
-            }
-        }();
-        return comp_(lo, k) <= 0;
+        return comp_(leaf_min(leaf), k) <= 0;
     }
 
     /// Right-edge test: k < largest leaf key (strict) or <= it.
     bool leaf_edge_ge(const NodeT* leaf, unsigned n, const Key& k,
                       bool strict_right) const {
-        const Key& hi = [&]() -> const Key& {
-            if constexpr (WithFingerprints) {
-                return leaf->fpst.max_key;
-            } else {
-                return leaf->keys[n - 1];
-            }
-        }();
-        const int c = comp_(k, hi);
+        const int c = comp_(k, leaf_max(leaf, n));
         return strict_right ? c < 0 : c <= 0;
     }
 
@@ -2302,16 +2338,22 @@ private:
         return {};
     }
 
+    /// `spine`: n is the last node on its level (the root, or the last
+    /// child of a spine node).
     std::string check_node(const NodeT* n, const Key* lo, const Key* hi,
-                           long depth, long& leaf_depth) const {
+                           long depth, long& leaf_depth, bool spine) const {
         const unsigned cnt = n->num_elements.load();
         if (cnt == 0) return "empty node";
         if (cnt > BlockSize) return "over-full node";
-        // Every non-root node was produced by a median split and can only
-        // have grown since: minimum fill is BlockSize/2 - 1.
-        if (n->parent.load() != nullptr && cnt + 1 < BlockSize / 2) {
-            return "under-filled node";
+        if (n->spine.load() != spine) {
+            return spine ? "right-spine node without spine flag"
+                         : "spine flag off the right spine";
         }
+        // A node off the spine was left behind by a median split or by a
+        // spine split keeping BlockSize-2 keys, and can only have grown
+        // since: minimum fill is BlockSize/2 - 1. Spine nodes may start
+        // with a single key (split_and_propagate).
+        if (!spine && cnt + 1 < BlockSize / 2) return "under-filled node";
         if constexpr (WithFingerprints) {
             // v2 leaves are sorted only up to their watermark; their range
             // lives in the cached bounds, and every occupied slot carries a
@@ -2349,7 +2391,8 @@ private:
             if (child->position.load() != i) return "bad position back-link";
             const Key* clo = (i == 0) ? lo : &n->keys[i - 1];
             const Key* chi = (i == cnt) ? hi : &n->keys[i];
-            if (auto err = check_node(child, clo, chi, depth + 1, leaf_depth);
+            if (auto err = check_node(child, clo, chi, depth + 1, leaf_depth,
+                                      spine && i == cnt);
                 !err.empty()) {
                 return err;
             }

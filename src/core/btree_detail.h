@@ -4,7 +4,8 @@
 // specialized B-tree (§3). This is a *classic* B-tree — keys live in inner
 // nodes too — matching the structure the paper describes: a split keeps half
 // of the keys in the existing node, moves half to a new sibling, and promotes
-// the median to the parent.
+// the median to the parent. The one deviation is on the right spine, where an
+// append split keeps all but two keys (DESIGN.md §16).
 //
 // Concurrency-relevant layout rules (§3.1):
 //   * every node carries its own OptimisticReadWriteLock;
@@ -183,6 +184,13 @@ struct Node {
 
     /// Immutable after construction; distinguishes Inner from leaf nodes.
     const bool inner;
+
+    /// Set on the last node of each level (the tree's right spine). Decides
+    /// the split point (see split_and_propagate) and lets a spine leaf's
+    /// hint cover every key above its first one. Written only under this
+    /// node's write lock; racy readers validate their lease. Sits in the
+    /// header padding before keys[], so node sizes do not change.
+    relaxed_value<bool, concurrent> spine{false};
 
     /// Key storage; slots [0, num_elements) are valid. Protected by this
     /// node's lock; racy readers copy elements via Access and validate.

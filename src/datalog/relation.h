@@ -194,6 +194,22 @@ public:
         }
     }
 
+    // -- tree shape -----------------------------------------------------------
+
+    /// True for storages backed by the B-tree (index_shape is available).
+    static constexpr bool shape_capable =
+        requires(const Storage& s) { s.tree().stats(); };
+
+    /// Shape of index `idx` (the tree's tree_stats: elements, leaf and inner
+    /// nodes, depth, bytes, keys per node): how full the split policy and
+    /// the relation's insert pattern left it. O(#nodes) tree walk; reads the
+    /// tree unsynchronised, so call it while no writer runs.
+    auto index_shape(unsigned idx) const
+        requires(shape_capable)
+    {
+        return indexes_[idx]->tree().stats();
+    }
+
     // -- snapshot reads (DESIGN.md §11) --------------------------------------
 
     /// Does the storage expose the epoch/snapshot surface? True for the

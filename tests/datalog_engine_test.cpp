@@ -287,6 +287,29 @@ TYPED_TEST(EngineStorageTest, Ec2WorkloadAgreesWithDefault) {
     }
 }
 
+/// Relation::index_shape reports every index's tree: its element count is
+/// the relation's size, and nodes grown by ascending appends on the right
+/// spine hold more than the median split's half-full nodes.
+TEST(IndexShape, CountsEveryTupleOfEveryIndex) {
+    const auto w = make_ec2_like(300, 5);
+    DefaultEngine engine(compile(w.source));
+    for (const auto& [rel, facts] : w.facts) engine.add_facts(rel, facts);
+    engine.run(1);
+    const auto& permitted = engine.relation("permitted");
+    ASSERT_GE(permitted.index_count(), 1u);
+    for (unsigned i = 0; i < permitted.index_count(); ++i) {
+        const auto s = permitted.index_shape(i);
+        EXPECT_EQ(s.elements, permitted.size());
+        EXPECT_GT(s.leaf_nodes, 0u);
+        EXPECT_GE(s.depth, 1u);
+        EXPECT_GT(s.memory_bytes, 0u);
+        EXPECT_EQ(s.block_size, 16u); // Tuple<4> keys, ~512 B per node
+    }
+    // permitted is derived mostly in key order: its nodes end up fuller
+    // than the BlockSize/2 a median split leaves.
+    EXPECT_GT(permitted.index_shape(0).keys_per_node(), 10.0);
+}
+
 // -- workload generators -----------------------------------------------------------
 
 TEST(Workloads, TransitiveClosureVariantsRun) {

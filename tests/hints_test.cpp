@@ -16,7 +16,9 @@ using dtree::HintKind;
 using dtree::HintStats;
 
 // Block size 16 with at most 15 keys keeps the whole tree in one leaf, so
-// hint cover checks are exactly predictable.
+// hint cover checks are exactly predictable. That leaf is the root, hence
+// the right spine's last leaf: it covers [keys[0], +inf), so only keys below
+// its first key miss.
 using Tree = dtree::btree_set<std::uint64_t,
                               dtree::ThreeWayComparator<std::uint64_t>, 16>;
 
@@ -38,17 +40,22 @@ TEST(HintStatsTest, InsertHitsAndMissesPerKind) {
     EXPECT_EQ(hits(h.stats, HintKind::Insert), 0u);
     EXPECT_EQ(misses(h.stats, HintKind::Insert), 1u);
 
-    // 30 is outside the cached leaf's [10, 10] range: a miss.
-    EXPECT_TRUE(t.insert(30, h));
+    // 5 is below the cached leaf's [10, +inf) range: a miss.
+    EXPECT_TRUE(t.insert(5, h));
     EXPECT_EQ(misses(h.stats, HintKind::Insert), 2u);
 
-    // 20 falls inside [10, 30]: a hit.
+    // 20 falls inside [5, +inf): a hit.
     EXPECT_TRUE(t.insert(20, h));
     EXPECT_EQ(hits(h.stats, HintKind::Insert), 1u);
 
     // Duplicate re-insert of a covered key: a hit that returns false.
     EXPECT_FALSE(t.insert(20, h));
     EXPECT_EQ(hits(h.stats, HintKind::Insert), 2u);
+    EXPECT_EQ(misses(h.stats, HintKind::Insert), 2u);
+
+    // An append past the last key: the spine leaf covers it, a hit.
+    EXPECT_TRUE(t.insert(30, h));
+    EXPECT_EQ(hits(h.stats, HintKind::Insert), 3u);
     EXPECT_EQ(misses(h.stats, HintKind::Insert), 2u);
 
     // Insert counters must not leak into the query kinds.
@@ -73,8 +80,12 @@ TEST(HintStatsTest, ContainsHitsAndMisses) {
     EXPECT_FALSE(t.contains(25, q)) << "covered but absent";
     EXPECT_EQ(hits(q.stats, HintKind::Contains), 2u);
 
-    // Outside the leaf range: a miss.
+    // Above the last key: the spine leaf still covers it, a hit.
     EXPECT_FALSE(t.contains(99, q));
+    EXPECT_EQ(hits(q.stats, HintKind::Contains), 3u);
+
+    // Below the leaf range: a miss.
+    EXPECT_FALSE(t.contains(5, q));
     EXPECT_EQ(misses(q.stats, HintKind::Contains), 2u);
 
     EXPECT_EQ(hits(q.stats, HintKind::Insert), 0u)

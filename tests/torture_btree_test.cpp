@@ -638,6 +638,87 @@ TEST_F(TortureTest, SnapshotTupleZipfStormInjectedBlock4) {
     run_zipf_storm<SnapQuadTree<4>>(1452);
 }
 
+// -- right-edge append storm -------------------------------------------------
+// Every thread appends ascending keys interleaved with the others' (thread t
+// inserts i*T + t), so all writers race on the right spine's last leaf: its
+// append splits, the spine flag's handover from the left half to the new
+// sibling, and the spine-covered insert hint, which readers validate against
+// a leaf that a stretched split or upgrade window keeps write-locked. The
+// bulk flavour sends the same stream through insert_sorted_run in short
+// sorted runs (the hint path that fills a spine leaf without upper bound).
+
+template <typename TreeT>
+void run_right_edge_append(std::uint64_t seed, bool bulk) {
+    using Key = typename TreeT::key_type;
+    TortureTest::arm_failpoints(seed);
+
+    constexpr unsigned kThreads = 4;
+    constexpr std::size_t kPerThread = 5000;
+    constexpr std::size_t kRun = 16;
+    TreeT tree;
+    std::atomic<std::size_t> changed{0};
+    dtree::util::run_threads(kThreads, [&](unsigned tid) {
+        auto h = tree.create_hints();
+        std::size_t mine = 0;
+        std::vector<Key> run;
+        for (std::size_t i = 0; i < kPerThread; ++i) {
+            const Key k = static_cast<Key>(i * kThreads + tid);
+            if (bulk) {
+                run.push_back(k);
+                if (run.size() == kRun || i + 1 == kPerThread) {
+                    mine += tree.insert_sorted_run(run.begin(), run.end(), h);
+                    run.clear();
+                }
+            } else if (tree.insert(k, h)) {
+                ++mine;
+            }
+            if constexpr (TreeT::with_snapshots) {
+                if (tid == 0 && i % 256 == 255) tree.advance_epoch();
+            }
+        }
+        changed.fetch_add(mine);
+    });
+
+    EXPECT_GT(fail::fires(fail::Site::split_delay), 0u);
+    EXPECT_GT(fail::fires(fail::Site::upgrade_delay), 0u);
+    const std::string err = tree.check_invariants();
+    ASSERT_TRUE(err.empty()) << err;
+    constexpr std::size_t kTotal = kThreads * kPerThread;
+    EXPECT_EQ(changed.load(), kTotal) << "insert verdicts disagree";
+    std::vector<Key> want(kTotal);
+    for (std::size_t i = 0; i < kTotal; ++i) want[i] = static_cast<Key>(i);
+    const std::vector<Key> got(tree.begin(), tree.end());
+    ASSERT_EQ(got, want) << "right-edge append storm lost or misplaced keys";
+}
+
+TEST_F(TortureTest, RightEdgeAppendInjectedBlock3) {
+    run_right_edge_append<Tree<3>>(1801, false);
+}
+TEST_F(TortureTest, RightEdgeAppendInjectedBlock5) {
+    run_right_edge_append<Tree<5>>(1802, false);
+}
+TEST_F(TortureTest, RightEdgeAppendInjectedBlock16) {
+    run_right_edge_append<Tree<16>>(1803, false);
+}
+TEST_F(TortureTest, RightEdgeAppendBulkInjectedBlock4) {
+    run_right_edge_append<Tree<4>>(1811, true);
+}
+TEST_F(TortureTest, RightEdgeAppendBulkInjectedBlock16) {
+    run_right_edge_append<Tree<16>>(1812, true);
+}
+TEST_F(TortureTest, FpRightEdgeAppendInjectedBlock5) {
+    run_right_edge_append<FpTortureTree<5>>(1821, false);
+}
+TEST_F(TortureTest, FpRightEdgeAppendBulkInjectedBlock11) {
+    run_right_edge_append<FpTortureTree<11>>(1822, true);
+}
+TEST_F(TortureTest, SnapshotRightEdgeAppendInjectedBlock5) {
+    run_right_edge_append<SnapTree<5>>(1831, false);
+}
+TEST_F(TortureTest, SnapshotRightEdgeAppendBulkInjectedBlock11) {
+    run_right_edge_append<SnapTree<11>>(1832, true);
+}
+
 // -- harness sensitivity: a broken tree MUST be caught ----------------------
 
 /// A btree_set whose insert silently drops some keys (claiming success) —
