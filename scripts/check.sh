@@ -38,13 +38,15 @@ RUN_ASAN=1
 # (detect_leaks) sees every path that frees nodes. runtime_determinism_test
 # compares T-thread engine results against 1-thread results at grains 1 and
 # 16, so work stealing inside the engine runs under both sanitizers.
+# relation_arity_test inserts from 4 threads through LocalViews into every
+# storage at arity 1..4, through the per-arity index dispatch.
 CONC_TARGETS=(torture_btree_test optimistic_lock_test btree_concurrent_test
               btree_smallnode_test hints_test runtime_scheduler_test
               btree_bulk_merge_test btree_search_test btree_snapshot_test
               datalog_ingest_test net_server_test btree_basic_test
-              runtime_determinism_test)
+              runtime_determinism_test relation_arity_test)
 # ctest -R filter matching exactly the tests those targets register.
-CONC_FILTER='Torture|OptimisticLock|AbortWrite|Concurrent|SmallNode|Hint|Scheduler|BulkMerge|FromSorted|SampleSeparators|SearchEquivalence|SearchMetrics|Snapshot|Ingest|NetServer|BTreeBasic|Determinism'
+CONC_FILTER='Torture|OptimisticLock|AbortWrite|Concurrent|SmallNode|Hint|Scheduler|BulkMerge|FromSorted|SampleSeparators|SearchEquivalence|SearchMetrics|Snapshot|Ingest|NetServer|BTreeBasic|Determinism|RelationArity'
 # The TSan leg doubles as the scalar-fallback proof for the fingerprint
 # kernel of leaf layout v2 (DESIGN.md §15): TSan builds force
 # DTREE_SIMD_VECTOR off (src/core/race_access.h), so the Fp* equivalence and

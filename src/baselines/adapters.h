@@ -13,6 +13,10 @@
 //                               state; local.insert(k), local.contains(k)
 //   finalize(threads);          post-insert completion step (reduction merge;
 //                               no-op elsewhere) — included in timings
+//   rebind<K>                   the same adapter over keys K (the engine's
+//                               storages; datalog/relation.h re-keys each
+//                               relation to its arity; wrappers such as
+//                               GlobalLockAdapter re-key through Inner)
 //
 // This is what lets one benchmark loop produce every row of Figs. 3-4.
 
@@ -53,6 +57,8 @@ public:
     static constexpr bool thread_safe = false;
     static constexpr bool ordered = true;
     static const char* name() { return "STL rbtset"; }
+    template <typename K>
+    using rebind = StlSetAdapter<K>;
 
     using local = forwarding_local<StlSetAdapter>;
 
@@ -88,6 +94,8 @@ public:
     static constexpr bool thread_safe = false;
     static constexpr bool ordered = false;
     static const char* name() { return "STL hashset"; }
+    template <typename K>
+    using rebind = StlHashSetAdapter<K>;
 
     using local = forwarding_local<StlHashSetAdapter>;
 
@@ -118,6 +126,8 @@ public:
     static constexpr bool thread_safe = false;
     static constexpr bool ordered = true;
     static const char* name() { return "google btree"; }
+    template <typename K>
+    using rebind = ClassicBTreeAdapter<K>;
 
     bool insert(const Key& k) { return tree_.insert(k); }
     bool contains(const Key& k) const { return tree_.contains(k); }
@@ -160,6 +170,10 @@ public:
             return UseHints ? "seq btree" : "seq btree (n/h)";
         }
     }
+
+    /// This flavour over keys K, on the tree the public alias gives for K.
+    template <typename K>
+    using rebind = BTreeAdapterImpl<typename Tree::template rebind<K>, UseHints, ThreadSafe>;
 
     class local {
     public:
@@ -336,6 +350,8 @@ public:
     static constexpr bool thread_safe = true;
     static constexpr bool ordered = false;
     static const char* name() { return "TBB hashset"; }
+    template <typename K>
+    using rebind = TbbLikeHashSetAdapter<K>;
 
     bool insert(const Key& k) { return set_.insert(k); }
     bool contains(const Key& k) const { return set_.contains(k); }

@@ -109,6 +109,34 @@ struct SnapTreeState<NodeT, false> {};
 
 } // namespace detail
 
+/// Shape of one tree (btree::stats()): the same type for every key type
+/// and node size, so relations of different arities aggregate into one.
+struct btree_tree_stats {
+    std::size_t elements = 0;
+    std::size_t inner_nodes = 0;
+    std::size_t leaf_nodes = 0;
+    std::size_t depth = 0;       // 1 = root-only
+    std::size_t memory_bytes = 0;
+    unsigned block_size = 0;     ///< keys per node (the tree's BlockSize)
+
+    /// Mean keys per node: BlockSize-2 on a tree grown by appends,
+    /// about BlockSize/2 where median splits dominate (DESIGN.md §16).
+    double keys_per_node() const {
+        const std::size_t nodes = inner_nodes + leaf_nodes;
+        return nodes ? static_cast<double>(elements) / nodes : 0.0;
+    }
+};
+
+/// Epoch/retention stats of one snapshot tree (btree::snap_stats()).
+struct btree_snapshot_stats {
+    std::uint64_t epoch = 0;
+    std::uint64_t advances = 0;
+    std::uint64_t pins = 0;
+    std::uint64_t cow_images = 0;
+    std::size_t retained_bytes = 0; ///< live: images not yet reclaimed
+    std::size_t cow_bytes = 0;      ///< cumulative: every image made
+};
+
 template <typename Key,
           typename Compare = ThreeWayComparator<Key>,
           unsigned BlockSize = detail::default_block_size<Key>(),
@@ -150,6 +178,15 @@ public:
     static constexpr unsigned block_size = BlockSize;
     static constexpr bool with_snapshots = WithSnapshots;
     static constexpr bool with_fingerprints = WithFingerprints;
+
+    /// The same access and leaf policies over keys K, at K's default
+    /// comparator, block size and in-node search (what the public aliases
+    /// give for K). Relations re-key their storage through this (DESIGN.md
+    /// §17).
+    template <typename K>
+    using rebind = btree<K, ThreeWayComparator<K>, detail::default_block_size<K>(),
+                         detail::DefaultSearch<K, ThreeWayComparator<K>>, Access,
+                         WithSnapshots, WithFingerprints>;
 
     // -- operation hints ----------------------------------------------------
 
@@ -612,24 +649,11 @@ public:
 
     // -- introspection (tests, benches, EXPERIMENTS.md) ----------------------
 
-    struct tree_stats {
-        std::size_t elements = 0;
-        std::size_t inner_nodes = 0;
-        std::size_t leaf_nodes = 0;
-        std::size_t depth = 0;       // 1 = root-only
-        std::size_t memory_bytes = 0;
-        unsigned block_size = BlockSize;
-
-        /// Mean keys per node: BlockSize-2 on a tree grown by appends,
-        /// about BlockSize/2 where median splits dominate (DESIGN.md §16).
-        double keys_per_node() const {
-            const std::size_t nodes = inner_nodes + leaf_nodes;
-            return nodes ? static_cast<double>(elements) / nodes : 0.0;
-        }
-    };
+    using tree_stats = btree_tree_stats;
 
     tree_stats stats() const {
         tree_stats s;
+        s.block_size = BlockSize;
         collect_stats(root_.load(), 1, s);
         return s;
     }
@@ -819,14 +843,7 @@ public:
     }
 
     /// Always-on snapshot/retention stats (soufflette --stats/--profile).
-    struct snapshot_stats {
-        std::uint64_t epoch = 0;
-        std::uint64_t advances = 0;
-        std::uint64_t pins = 0;
-        std::uint64_t cow_images = 0;
-        std::size_t retained_bytes = 0; ///< live: images not yet reclaimed
-        std::size_t cow_bytes = 0;      ///< cumulative: every image made
-    };
+    using snapshot_stats = btree_snapshot_stats;
 
     snapshot_stats snap_stats() const {
         static_assert(WithSnapshots, "snap_stats(): configure WithSnapshots");

@@ -22,10 +22,12 @@
 
 namespace dtree::datalog {
 
-/// Engine-wide maximum relation arity; tuples are stored padded to this.
+/// Engine-wide maximum relation arity.
 constexpr std::size_t kMaxArity = 4;
 
-/// The padded storage tuple every relation uses internally.
+/// A tuple as the engine, fact I/O and the wire protocol pass it around:
+/// zero-padded to kMaxArity. Relations store Tuple<arity> keys and convert
+/// at their boundary (relation.h).
 using StorageTuple = Tuple<kMaxArity>;
 
 using Value = RamDomain;

@@ -183,12 +183,15 @@ public:
         }
     }
 
-    /// Bulk fact loading (workload generators). Tuples are padded source-
-    /// order column values. Only genuinely new tuples count as input —
-    /// duplicate facts would otherwise inflate input_tuples_ and skew
-    /// produced_tuples in EngineStats.
+    /// Bulk fact loading (workload generators). Tuples are zero-padded
+    /// source-order column values; a batch with a nonzero column past the
+    /// relation's arity throws std::invalid_argument before anything is
+    /// stored. Only genuinely new tuples count as input — duplicate facts
+    /// would otherwise inflate input_tuples_ and skew produced_tuples in
+    /// EngineStats.
     void add_facts(const std::string& relation, const std::vector<StorageTuple>& facts) {
         RelationT& rel = *relations_.at(prog_.relation_id(relation));
+        for (const auto& t : facts) check_padding(rel, t);
         auto view = rel.local_view(0);
         for (const auto& t : facts) {
             if (view.insert(t)) ++input_tuples_;
@@ -196,9 +199,9 @@ public:
     }
 
     void add_fact(const std::string& relation, const StorageTuple& t) {
-        if (relations_.at(prog_.relation_id(relation))->insert(t)) {
-            ++input_tuples_;
-        }
+        RelationT& rel = *relations_.at(prog_.relation_id(relation));
+        check_padding(rel, t);
+        if (rel.insert(t)) ++input_tuples_;
     }
 
     /// Chunk grain for rule fanout; 0 restores Scheduler::kDefaultGrain.
@@ -247,7 +250,9 @@ public:
     /// Returns the number of genuinely-new tuples buffered; they take effect
     /// at the next refixpoint() (group commit). Throws for unknown relations
     /// and for relations whose positive derivation closure is read under
-    /// negation (insert-only storage cannot retract, see ingest_safe()).
+    /// negation (insert-only storage cannot retract, see ingest_safe());
+    /// throws std::invalid_argument, staging nothing, for a fact with a
+    /// nonzero column past the relation's arity.
     std::size_t ingest(const std::string& relation,
                        const std::vector<StorageTuple>& facts) {
         if (!prog_.decl_index.count(relation)) {
@@ -260,6 +265,7 @@ public:
                 "' (or one derived from it) is read under negation; "
                 "insert-only evaluation cannot retract derivations");
         }
+        for (const auto& t : facts) check_padding(*relations_[rel], t);
         std::vector<StorageTuple> batch(facts);
         std::sort(batch.begin(), batch.end());
         batch.erase(std::unique(batch.begin(), batch.end()), batch.end());
@@ -409,6 +415,20 @@ public:
     }
 
 private:
+    /// A relation stores only its first arity() columns (DESIGN.md §17): a
+    /// fact that sets a column past them would be truncated into a
+    /// different tuple, so it is rejected instead.
+    static void check_padding(const RelationT& rel, const StorageTuple& t) {
+        for (unsigned c = rel.arity(); c < kMaxArity; ++c) {
+            if (t[c] != 0) {
+                throw std::invalid_argument(
+                    "fact for relation '" + rel.name() + "' sets column " +
+                    std::to_string(c) + " past its arity " +
+                    std::to_string(rel.arity()) + " (value " + std::to_string(t[c]) + ")");
+            }
+        }
+    }
+
     /// Which container a same-stratum atom reads in a delta-rule variant.
     enum class Version { Full, Delta };
 

@@ -9,6 +9,14 @@
 // the seam where the paper's Fig. 5 experiment plugs in the specialized
 // B-tree, the STL containers, the concurrent hash set, etc.
 //
+// Per-arity keys (DESIGN.md §17): the storage is named by its padded
+// StorageTuple instantiation, but an arity-A relation stores every index
+// under Tuple<A> — the storage re-keyed with rebind_storage_t, so a binary
+// relation's B-tree holds 16-byte keys at its own default block size. The
+// arity is picked once, at construction; every call switches on it. Keys
+// narrow on the way in (tuples, bounds, separators) and widen, zero-filled,
+// on the way out: StorageTuple stays the type at the Relation boundary.
+//
 // Threading contract = the paper's phase-concurrency (§2): during a rule
 // evaluation phase many threads insert into the *new* relations and read the
 // *full/delta* relations; no relation is read and written in the same phase.
@@ -24,7 +32,11 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <stdexcept>
 #include <string>
+#include <type_traits>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "core/hints.h"
@@ -38,8 +50,8 @@ namespace dtree::datalog {
 /// `hi` the prefix incremented as a number with carry. Returns false when the
 /// range has no exclusive upper bound (prefix == 0, or all prefix columns are
 /// already at max) — callers must then scan to the end and filter. Shared by
-/// the snapshot scan, the quiescent Relation scan, and the wire-protocol
-/// RANGE handler so all three agree on range semantics.
+/// the snapshot scan and the wire-protocol RANGE handler so both agree on
+/// range semantics.
 inline bool prefix_bounds(const StorageTuple& bound, unsigned prefix,
                           StorageTuple& lo, StorageTuple& hi) {
     lo = StorageTuple{};
@@ -58,6 +70,32 @@ inline bool prefix_bounds(const StorageTuple& bound, unsigned prefix,
     return false;
 }
 
+// -- re-keying a storage -------------------------------------------------------
+
+/// `rebind_storage<Storage, Key>::type` is `Storage` holding `Key` elements.
+/// An adapter re-keys itself through a member `template <class K> using
+/// rebind`; a single-argument wrapper without one (GlobalLockAdapter<Inner>,
+/// a timing wrapper) is re-keyed through its argument. Anything else has no
+/// definition here, so a storage that cannot be re-keyed fails to compile
+/// rather than keep padded keys.
+template <typename Storage, typename Key>
+struct rebind_storage;
+
+template <typename Storage, typename Key>
+    requires requires { typename Storage::template rebind<Key>; }
+struct rebind_storage<Storage, Key> {
+    using type = typename Storage::template rebind<Key>;
+};
+
+template <template <typename> class Wrapper, typename Inner, typename Key>
+    requires(!requires { typename Wrapper<Inner>::template rebind<Key>; })
+struct rebind_storage<Wrapper<Inner>, Key> {
+    using type = Wrapper<typename rebind_storage<Inner, Key>::type>;
+};
+
+template <typename Storage, typename Key>
+using rebind_storage_t = typename rebind_storage<Storage, Key>::type;
+
 /// Operation counters (Table 2's "Evaluation Statistics" row group).
 struct OpCounters {
     std::uint64_t inserts = 0;
@@ -74,19 +112,79 @@ struct OpCounters {
     }
 };
 
+namespace relation_detail {
+
+template <std::size_t A>
+using Arity = std::integral_constant<std::size_t, A>;
+
+/// The first A columns of a padded tuple.
+template <std::size_t A>
+Tuple<A> narrow(const StorageTuple& t) {
+    Tuple<A> out;
+    for (std::size_t c = 0; c < A; ++c) out[c] = t[c];
+    return out;
+}
+
+/// A stored key as a StorageTuple, columns past A zero.
+template <std::size_t A>
+StorageTuple widen(const Tuple<A>& k) {
+    StorageTuple out{};
+    for (std::size_t c = 0; c < A; ++c) out[c] = k[c];
+    return out;
+}
+
+/// The sorted bulk-merge surface (sorted iteration, bound slicing, separator
+/// sampling, packed build) on one index storage.
+template <typename S>
+concept bulk_merge_storage =
+    requires(S& s, const S& cs, typename S::local& l, const typename S::key_type& k) {
+        l.insert_sorted_run(cs.begin(), cs.end());
+        cs.lower_bound(k);
+        cs.partition_keys(std::size_t{});
+        s.build_sorted(cs.begin(), cs.end(), std::size_t{});
+    };
+
+template <typename S>
+concept shape_storage = requires(const S& s) { s.tree().stats(); };
+
+template <typename S>
+concept snapshot_storage = requires(const S& cs, S& s) {
+    cs.snapshot();
+    s.advance_epoch();
+};
+
+} // namespace relation_detail
+
 template <typename Storage>
 class Relation {
+    template <std::size_t A>
+    using Arity = relation_detail::Arity<A>;
+
 public:
+    /// The storage of each index of an arity-A relation: `Storage` re-keyed
+    /// to Tuple<A> (DESIGN.md §17).
+    template <std::size_t A>
+    using index_type = rebind_storage_t<Storage, Tuple<A>>;
+
     Relation(std::string name, unsigned arity, std::vector<IndexOrder> orders)
         : name_(std::move(name)), arity_(arity), orders_(std::move(orders)) {
+        if (arity_ == 0 || arity_ > kMaxArity) {
+            throw std::invalid_argument("relation " + name_ + ": arity " +
+                                        std::to_string(arity_) + " outside 1.." +
+                                        std::to_string(kMaxArity));
+        }
         if constexpr (!Storage::ordered) {
             // Unordered storage cannot serve range queries; secondary
             // indexes would be pure overhead. Keep only the primary.
             orders_.resize(1);
         }
-        for (std::size_t i = 0; i < orders_.size(); ++i) {
-            indexes_.push_back(std::make_unique<Storage>());
-        }
+        with_arity([&](auto a) {
+            constexpr std::size_t A = decltype(a)::value;
+            auto& set = indexes_.template emplace<A - 1>();
+            for (std::size_t i = 0; i < orders_.size(); ++i) {
+                set.push_back(std::make_unique<index_type<A>>());
+            }
+        });
     }
 
     const std::string& name() const { return name_; }
@@ -98,97 +196,126 @@ public:
         // O(1) where the storage offers it; the concurrent B-tree keeps no
         // element counter (size() walks the tree), so this matters: the
         // fixpoint loop checks delta emptiness every iteration.
-        if constexpr (requires(const Storage& s) { s.empty(); }) {
-            return indexes_[0]->empty();
-        } else {
-            return indexes_[0]->size() == 0;
-        }
-    }
-    std::size_t size() const { return indexes_[0]->size(); }
-
-    /// Sequential insert (loading facts, tests). Not counted.
-    bool insert(const StorageTuple& t) {
-        const bool fresh = indexes_[0]->insert(permute(t, 0));
-        if (fresh) {
-            for (unsigned i = 1; i < indexes_.size(); ++i) {
-                indexes_[i]->insert(permute(t, i));
+        return with_arity([&](auto a) {
+            constexpr std::size_t A = decltype(a)::value;
+            const auto& primary = *indexes<A>()[0];
+            if constexpr (requires { primary.empty(); }) {
+                return primary.empty();
+            } else {
+                return primary.size() == 0;
             }
-        }
-        return fresh;
+        });
+    }
+    std::size_t size() const {
+        return with_arity([&](auto a) { return indexes<decltype(a)::value>()[0]->size(); });
+    }
+
+    /// Sequential insert (loading facts, tests). Not counted. Columns past
+    /// the arity are not stored: the engine rejects facts that set them.
+    bool insert(const StorageTuple& t) {
+        return with_arity([&](auto a) {
+            constexpr std::size_t A = decltype(a)::value;
+            auto& set = indexes<A>();
+            const bool fresh = set[0]->insert(permute<A>(t, 0));
+            if (fresh) {
+                for (unsigned i = 1; i < set.size(); ++i) {
+                    set[i]->insert(permute<A>(t, i));
+                }
+            }
+            return fresh;
+        });
     }
 
     /// Unsynchronised full scan over the primary index (tuples come back in
-    /// source column order; primary order is the identity permutation).
+    /// source column order, zero-padded).
     template <typename Fn>
     void for_each(Fn&& fn) const {
-        indexes_[0]->for_each(fn);
+        with_arity([&](auto a) {
+            constexpr std::size_t A = decltype(a)::value;
+            indexes<A>()[0]->for_each(
+                [&](const Tuple<A>& k) { fn(relation_detail::widen<A>(k)); });
+        });
     }
 
-    /// Moves the contents of another relation in (delta := new).
+    /// Moves the contents of another relation of the same arity in
+    /// (delta := new).
     void swap_contents(Relation& other) { indexes_.swap(other.indexes_); }
 
     // -- sorted bulk merge (delta->full rotation) ----------------------------
 
-    /// Does the storage expose the full bulk-merge surface (sorted iteration,
-    /// bound slicing, separator sampling, packed build)? True for the B-tree
-    /// adapters; false routes the evaluator to the generic point-insert path.
-    static constexpr bool bulk_mergeable = requires(
-        Storage& s, const Storage& cs, typename Storage::local& l,
-        const StorageTuple& t) {
-        l.insert_sorted_run(cs.begin(), cs.end());
-        cs.lower_bound(t);
-        cs.partition_keys(std::size_t{});
-        s.build_sorted(cs.begin(), cs.end(), std::size_t{});
-    };
+    /// Does the storage expose the full bulk-merge surface at every arity?
+    /// True for the B-tree adapters; false routes the evaluator to the
+    /// generic point-insert path.
+    static constexpr bool bulk_mergeable =
+        relation_detail::bulk_merge_storage<index_type<1>> &&
+        relation_detail::bulk_merge_storage<index_type<2>> &&
+        relation_detail::bulk_merge_storage<index_type<3>> &&
+        relation_detail::bulk_merge_storage<index_type<4>>;
 
     bool index_empty(unsigned idx) const
         requires(bulk_mergeable)
     {
-        return indexes_[idx]->empty();
+        return with_arity([&](auto a) { return indexes<decltype(a)::value>()[idx]->empty(); });
     }
 
     /// Separator keys splitting index `idx`'s key space into ~`target`
-    /// ranges of similar weight (keys are in the INDEX's permuted order).
+    /// ranges of similar weight (keys are in the INDEX's permuted order,
+    /// zero-padded).
     std::vector<StorageTuple> partition_keys(unsigned idx, std::size_t target) const
         requires(bulk_mergeable)
     {
-        return indexes_[idx]->partition_keys(target);
+        return with_arity([&](auto a) {
+            constexpr std::size_t A = decltype(a)::value;
+            std::vector<StorageTuple> out;
+            for (const auto& k : indexes<A>()[idx]->partition_keys(target)) {
+                out.push_back(relation_detail::widen<A>(k));
+            }
+            return out;
+        });
     }
 
     /// Packed O(n) rebuild of index `idx` from the same index of `src`
-    /// (identical index orders assumed — the evaluator's scratch relations
-    /// share the relation's order list). Precondition: this index is empty.
+    /// (identical arity and index orders assumed — the evaluator's scratch
+    /// relations share the relation's order list). Precondition: this index
+    /// is empty.
     void bulk_load_index_from(unsigned idx, const Relation& src)
         requires(bulk_mergeable)
     {
-        const Storage& s = *src.indexes_[idx];
-        indexes_[idx]->build_sorted(s.begin(), s.end(), src.size());
+        with_arity([&](auto a) {
+            constexpr std::size_t A = decltype(a)::value;
+            const auto& s = *src.indexes<A>()[idx];
+            indexes<A>()[idx]->build_sorted(s.begin(), s.end(), src.size());
+        });
     }
 
     void clear() {
-        for (auto& idx : indexes_) idx->clear();
+        with_arity([&](auto a) {
+            constexpr std::size_t A = decltype(a)::value;
+            for (auto& idx : indexes<A>()) idx->clear();
+        });
     }
 
     /// Packed load of an ingest batch into an EMPTY relation: `sorted` must
     /// be sorted and deduplicated in source column order (= the primary
-    /// index's order). The primary gets a direct packed build; each
-    /// secondary permutes the batch, re-sorts, and packed-builds, so a
-    /// group-committed serve batch becomes a delta relation in O(n log n)
-    /// without touching the point-insert path. Falls back to sequential
-    /// inserts for storages without the bulk surface.
+    /// index's order). Every index permutes the batch into its own key type,
+    /// re-sorts (secondaries only) and packed-builds, so a group-committed
+    /// serve batch becomes a delta relation in O(n log n) without touching
+    /// the point-insert path. Falls back to sequential inserts for storages
+    /// without the bulk surface.
     void load_sorted_batch(const std::vector<StorageTuple>& sorted) {
         if constexpr (bulk_mergeable) {
-            indexes_[0]->build_sorted(sorted.begin(), sorted.end(), sorted.size());
-            std::vector<StorageTuple> scratch;
-            for (unsigned i = 1; i < indexes_.size(); ++i) {
-                scratch.resize(sorted.size());
-                for (std::size_t j = 0; j < sorted.size(); ++j) {
-                    scratch[j] = permute(sorted[j], i);
+            with_arity([&](auto a) {
+                constexpr std::size_t A = decltype(a)::value;
+                auto& set = indexes<A>();
+                std::vector<Tuple<A>> keys(sorted.size());
+                for (unsigned i = 0; i < set.size(); ++i) {
+                    for (std::size_t j = 0; j < sorted.size(); ++j) {
+                        keys[j] = permute<A>(sorted[j], i);
+                    }
+                    if (i != 0) std::sort(keys.begin(), keys.end());
+                    set[i]->build_sorted(keys.begin(), keys.end(), keys.size());
                 }
-                std::sort(scratch.begin(), scratch.end());
-                indexes_[i]->build_sorted(scratch.begin(), scratch.end(),
-                                          scratch.size());
-            }
+            });
         } else {
             for (const auto& t : sorted) insert(t);
         }
@@ -198,16 +325,21 @@ public:
 
     /// True for storages backed by the B-tree (index_shape is available).
     static constexpr bool shape_capable =
-        requires(const Storage& s) { s.tree().stats(); };
+        relation_detail::shape_storage<index_type<1>> &&
+        relation_detail::shape_storage<index_type<2>> &&
+        relation_detail::shape_storage<index_type<3>> &&
+        relation_detail::shape_storage<index_type<4>>;
 
     /// Shape of index `idx` (the tree's tree_stats: elements, leaf and inner
-    /// nodes, depth, bytes, keys per node): how full the split policy and
-    /// the relation's insert pattern left it. O(#nodes) tree walk; reads the
-    /// tree unsynchronised, so call it while no writer runs.
+    /// nodes, depth, bytes, block size, keys per node): how full the split
+    /// policy and the relation's insert pattern left it. One stats type for
+    /// every arity. O(#nodes) tree walk; reads the tree unsynchronised, so
+    /// call it while no writer runs.
     auto index_shape(unsigned idx) const
         requires(shape_capable)
     {
-        return indexes_[idx]->tree().stats();
+        return with_arity(
+            [&](auto a) { return indexes<decltype(a)::value>()[idx]->tree().stats(); });
     }
 
     // -- snapshot reads (DESIGN.md §11) --------------------------------------
@@ -216,25 +348,37 @@ public:
     /// snapshot-enabled B-tree adapter (storage::OurBTreeSnap); false keeps
     /// the paper-faithful phase-concurrent contract untouched.
     static constexpr bool snapshot_capable =
-        requires(const Storage& cs, Storage& s) {
-            cs.snapshot();
-            s.advance_epoch();
-        };
+        relation_detail::snapshot_storage<index_type<1>> &&
+        relation_detail::snapshot_storage<index_type<2>> &&
+        relation_detail::snapshot_storage<index_type<3>> &&
+        relation_detail::snapshot_storage<index_type<4>>;
 
     /// A pinned, consistent view of this relation: every query observes
     /// exactly the tuples published up to one epoch boundary, CONCURRENTLY
     /// with evaluation threads inserting. Queries run against the primary
-    /// index (tuples come back in source column order). Valid until the
-    /// relation is cleared or destroyed.
+    /// index (tuples come back in source column order, zero-padded). Valid
+    /// until the relation is cleared or destroyed.
     class SnapshotView {
-    public:
-        std::uint64_t epoch() const { return snap_.epoch(); }
+        template <std::size_t A>
+        using Snap = typename index_type<A>::snapshot_type;
 
-        bool contains(const StorageTuple& t) const { return snap_.contains(t); }
+    public:
+        std::uint64_t epoch() const {
+            return with_snap([](auto, const auto& s) { return s.epoch(); });
+        }
+
+        bool contains(const StorageTuple& t) const {
+            return with_snap([&](auto a, const auto& s) {
+                return s.contains(relation_detail::narrow<decltype(a)::value>(t));
+            });
+        }
 
         template <typename Fn>
         void for_each(Fn&& fn) const {
-            snap_.for_each(fn);
+            with_snap([&](auto a, const auto& s) {
+                constexpr std::size_t A = decltype(a)::value;
+                s.for_each([&](const Tuple<A>& k) { fn(relation_detail::widen<A>(k)); });
+            });
         }
 
         /// All tuples whose first `prefix` columns equal `bound[0..prefix)`,
@@ -244,27 +388,47 @@ public:
         void scan_prefix(const StorageTuple& bound, unsigned prefix,
                          Fn&& fn) const {
             StorageTuple lo, hi;
-            if (!prefix_bounds(bound, prefix, lo, hi)) {
-                snap_.for_each([&](const StorageTuple& t) {
+            const bool bounded = prefix_bounds(bound, prefix, lo, hi);
+            with_snap([&](auto a, const auto& s) {
+                constexpr std::size_t A = decltype(a)::value;
+                auto emit = [&](const Tuple<A>& k) { fn(relation_detail::widen<A>(k)); };
+                if (bounded) {
+                    s.for_each_in_range(relation_detail::narrow<A>(lo),
+                                        relation_detail::narrow<A>(hi), emit);
+                    return;
+                }
+                s.for_each([&](const Tuple<A>& k) {
                     for (unsigned c = 0; c < prefix; ++c) {
-                        if (t[c] < lo[c]) return;
+                        if (k[c] < lo[c]) return;
                     }
-                    fn(t);
+                    emit(k);
                 });
-            } else {
-                snap_.for_each_in_range(lo, hi, fn);
-            }
+            });
         }
 
         /// Tuple count at the pinned boundary (walks the snapshot: O(n)).
-        std::size_t size() const { return snap_.size(); }
+        std::size_t size() const {
+            return with_snap([](auto, const auto& s) { return s.size(); });
+        }
 
     private:
         friend class Relation;
-        explicit SnapshotView(typename Storage::snapshot_type s)
-            : snap_(std::move(s)) {}
+        using Snaps = std::variant<Snap<1>, Snap<2>, Snap<3>, Snap<4>>;
 
-        typename Storage::snapshot_type snap_;
+        explicit SnapshotView(Snaps s) : snap_(std::move(s)) {}
+
+        /// Calls fn(Arity<A>{}, snapshot) for the pinned relation's arity A.
+        template <typename Fn>
+        decltype(auto) with_snap(Fn&& fn) const {
+            switch (snap_.index()) {
+                case 0: return fn(Arity<1>{}, *std::get_if<0>(&snap_));
+                case 1: return fn(Arity<2>{}, *std::get_if<1>(&snap_));
+                case 2: return fn(Arity<3>{}, *std::get_if<2>(&snap_));
+                default: return fn(Arity<4>{}, *std::get_if<3>(&snap_));
+            }
+        }
+
+        Snaps snap_;
     };
 
     /// Pins a snapshot of the primary index at the current epoch boundary.
@@ -272,7 +436,11 @@ public:
     SnapshotView snapshot() const
         requires(snapshot_capable)
     {
-        return SnapshotView(indexes_[0]->snapshot());
+        return with_arity([&](auto a) {
+            constexpr std::size_t A = decltype(a)::value;
+            return SnapshotView(typename SnapshotView::Snaps(
+                std::in_place_index<A - 1>, indexes<A>()[0]->snapshot()));
+        });
     }
 
     /// Publishes all tuples inserted so far to future snapshots (every
@@ -281,26 +449,33 @@ public:
     std::uint64_t advance_epoch()
         requires(snapshot_capable)
     {
-        std::uint64_t e = 0;
-        for (auto& idx : indexes_) e = idx->advance_epoch();
-        return e;
+        return with_arity([&](auto a) {
+            constexpr std::size_t A = decltype(a)::value;
+            std::uint64_t e = 0;
+            for (auto& idx : indexes<A>()) e = idx->advance_epoch();
+            return e;
+        });
     }
 
-    /// Aggregated epoch-retention stats over every index of this relation.
+    /// Aggregated epoch-retention stats over every index of this relation
+    /// (one stats type for every arity).
     auto snap_stats() const
         requires(snapshot_capable)
     {
-        decltype(indexes_[0]->snap_stats()) total{};
-        for (const auto& idx : indexes_) {
-            const auto s = idx->snap_stats();
-            total.epoch = std::max(total.epoch, s.epoch);
-            total.advances += s.advances;
-            total.pins += s.pins;
-            total.cow_images += s.cow_images;
-            total.retained_bytes += s.retained_bytes;
-            total.cow_bytes += s.cow_bytes;
-        }
-        return total;
+        return with_arity([&](auto a) {
+            constexpr std::size_t A = decltype(a)::value;
+            decltype(indexes<A>()[0]->snap_stats()) total{};
+            for (const auto& idx : indexes<A>()) {
+                const auto s = idx->snap_stats();
+                total.epoch = std::max(total.epoch, s.epoch);
+                total.advances += s.advances;
+                total.pins += s.pins;
+                total.cow_images += s.cow_images;
+                total.retained_bytes += s.retained_bytes;
+                total.cow_bytes += s.cow_bytes;
+            }
+            return total;
+        });
     }
 
     // -- quiescent reads -----------------------------------------------------
@@ -311,41 +486,44 @@ public:
     /// Membership test on the primary index. Unordered storages fall back to
     /// a full scan (they serve no ranged lookup outside evaluation).
     bool contains(const StorageTuple& t) const {
-        if constexpr (requires(const Storage& s) {
-                          s.contains(std::declval<const StorageTuple&>());
-                      }) {
-            return indexes_[0]->contains(t);
-        } else {
-            bool found = false;
-            indexes_[0]->for_each([&](const StorageTuple& u) {
-                if (u == t) found = true;
-            });
-            return found;
-        }
+        return with_arity([&](auto a) {
+            constexpr std::size_t A = decltype(a)::value;
+            const auto& primary = *indexes<A>()[0];
+            const Tuple<A> k = relation_detail::narrow<A>(t);
+            if constexpr (requires { primary.contains(k); }) {
+                return primary.contains(k);
+            } else {
+                bool found = false;
+                primary.for_each([&](const Tuple<A>& u) {
+                    if (u == k) found = true;
+                });
+                return found;
+            }
+        });
     }
 
     /// All tuples whose first `prefix` columns equal `bound[0..prefix)`, in
     /// lexicographic order on ordered storages (primary index; tuples come
-    /// back in source column order).
+    /// back in source column order, zero-padded).
     template <typename Fn>
     void scan_prefix(const StorageTuple& bound, unsigned prefix, Fn&& fn) const {
-        StorageTuple lo, hi;
-        const bool bounded = prefix_bounds(bound, prefix, lo, hi);
-        auto filtered = [&](const StorageTuple& t) {
-            for (unsigned c = 0; c < prefix; ++c) {
-                if (t[c] != bound[c]) return;
-            }
-            fn(t);
-        };
-        if constexpr (Storage::ordered) {
-            if (bounded) {
-                indexes_[0]->for_each_in_range(lo, hi, fn);
+        with_arity([&](auto a) {
+            constexpr std::size_t A = decltype(a)::value;
+            const auto& primary = *indexes<A>()[0];
+            auto emit = [&](const Tuple<A>& k) { fn(relation_detail::widen<A>(k)); };
+            if constexpr (Storage::ordered) {
+                Tuple<A> lo, hi;
+                inclusive_bounds(bound, prefix, lo, hi);
+                primary.for_each_in_range(lo, hi, emit);
             } else {
-                indexes_[0]->for_each(filtered);
+                primary.for_each([&](const Tuple<A>& k) {
+                    for (unsigned c = 0; c < prefix; ++c) {
+                        if (k[c] != bound[c]) return;
+                    }
+                    emit(k);
+                });
             }
-        } else {
-            indexes_[0]->for_each(filtered);
-        }
+        });
     }
 
     /// Aggregated counters from all retired LocalViews.
@@ -374,10 +552,17 @@ public:
     /// A thread's private handle: adapter-local state (hints) + counters.
     /// Destroying the view flushes its counters into the relation.
     class LocalView {
+        template <std::size_t A>
+        using Locals = std::vector<typename index_type<A>::local>;
+
     public:
         LocalView(Relation& rel, unsigned tid) : rel_(&rel) {
-            locals_.reserve(rel.indexes_.size());
-            for (auto& idx : rel.indexes_) locals_.push_back(idx->make_local(tid));
+            rel.with_arity([&](auto a) {
+                constexpr std::size_t A = decltype(a)::value;
+                auto& mine = locals_.template emplace<A - 1>();
+                mine.reserve(rel.index_count());
+                for (auto& idx : rel.indexes<A>()) mine.push_back(idx->make_local(tid));
+            });
         }
 
         LocalView(LocalView&& o) noexcept
@@ -394,55 +579,55 @@ public:
         /// primary).
         bool insert(const StorageTuple& t) {
             ++counters_.inserts;
-            const bool fresh = locals_[0].insert(rel_->permute(t, 0));
-            if (fresh) {
-                for (unsigned i = 1; i < locals_.size(); ++i) {
-                    locals_[i].insert(rel_->permute(t, i));
+            return rel_->with_arity([&](auto a) {
+                constexpr std::size_t A = decltype(a)::value;
+                auto& mine = locals<A>();
+                const bool fresh = mine[0].insert(rel_->permute<A>(t, 0));
+                if (fresh) {
+                    for (unsigned i = 1; i < mine.size(); ++i) {
+                        mine[i].insert(rel_->permute<A>(t, i));
+                    }
                 }
-            }
-            return fresh;
+                return fresh;
+            });
         }
 
         /// Membership test on the primary index (hinted where supported).
         bool contains(const StorageTuple& t) {
             ++counters_.membership_tests;
-            return locals_[0].contains(rel_->permute(t, 0));
+            return rel_->with_arity([&](auto a) {
+                constexpr std::size_t A = decltype(a)::value;
+                return locals<A>()[0].contains(relation_detail::narrow<A>(t));
+            });
         }
 
         /// Range query: all tuples whose first `prefix` columns of index
         /// `idx` equal `bound[0..prefix)`; fn receives tuples in SOURCE
-        /// column order.
+        /// column order, zero-padded.
         template <typename Fn>
         void scan_prefix(unsigned idx, const StorageTuple& bound, unsigned prefix,
                          Fn&& fn) {
             ++counters_.lower_bound_calls;
             ++counters_.upper_bound_calls;
-            StorageTuple lo, hi;
-            for (unsigned c = 0; c < kMaxArity; ++c) {
-                if (c < prefix) {
-                    lo[c] = bound[c];
-                    hi[c] = bound[c];
+            rel_->with_arity([&](auto a) {
+                constexpr std::size_t A = decltype(a)::value;
+                Tuple<A> lo, hi;
+                inclusive_bounds(bound, prefix, lo, hi);
+                auto emit = [&](const Tuple<A>& stored) {
+                    fn(rel_->unpermute<A>(stored, idx));
+                };
+                if constexpr (has_local_range<A>) {
+                    locals<A>()[idx].for_each_in_range(lo, hi, emit);
                 } else {
-                    lo[c] = 0;
-                    hi[c] = std::numeric_limits<Value>::max();
+                    rel_->indexes<A>()[idx]->for_each_in_range(lo, hi, emit);
                 }
-            }
-            const IndexOrder& order = rel_->orders_[idx];
-            if constexpr (has_local_range) {
-                locals_[idx].for_each_in_range(lo, hi, [&](const StorageTuple& stored) {
-                    fn(rel_->unpermute(stored, order));
-                });
-            } else {
-                rel_->indexes_[idx]->for_each_in_range(
-                    lo, hi,
-                    [&](const StorageTuple& stored) { fn(rel_->unpermute(stored, order)); });
-            }
+            });
         }
 
         /// Full scan (primary index).
         template <typename Fn>
         void scan_all(Fn&& fn) {
-            rel_->indexes_[0]->for_each(fn);
+            rel_->for_each(fn);
         }
 
         /// Streams the [lo, hi) slice — nullptr = open end — of `src`'s
@@ -457,10 +642,13 @@ public:
                                       const StorageTuple* hi)
             requires(bulk_mergeable)
         {
-            const Storage& s = *src.indexes_[idx];
-            auto first = lo ? s.lower_bound(*lo) : s.begin();
-            auto last = hi ? s.lower_bound(*hi) : s.end();
-            const std::size_t fresh = locals_[idx].insert_sorted_run(first, last);
+            const std::size_t fresh = rel_->with_arity([&](auto a) {
+                constexpr std::size_t A = decltype(a)::value;
+                const auto& s = *src.indexes<A>()[idx];
+                auto first = lo ? s.lower_bound(relation_detail::narrow<A>(*lo)) : s.begin();
+                auto last = hi ? s.lower_bound(relation_detail::narrow<A>(*hi)) : s.end();
+                return locals<A>()[idx].insert_sorted_run(first, last);
+            });
             // Table 2 accounting: the primary index decides set semantics,
             // and NEW is disjoint from FULL by construction (the engine
             // filters against FULL before inserting into NEW), so every
@@ -474,13 +662,19 @@ public:
     private:
         friend class Relation;
 
+        template <std::size_t A>
         static constexpr bool has_local_range = requires(
-            typename Storage::local& l, const StorageTuple& t) {
-            l.for_each_in_range(t, t, [](const StorageTuple&) {});
+            typename index_type<A>::local& l, const Tuple<A>& t) {
+            l.for_each_in_range(t, t, [](const Tuple<A>&) {});
         };
 
+        template <std::size_t A>
+        Locals<A>& locals() {
+            return *std::get_if<A - 1>(&locals_);
+        }
+
         Relation* rel_;
-        std::vector<typename Storage::local> locals_;
+        std::variant<Locals<1>, Locals<2>, Locals<3>, Locals<4>> locals_;
         OpCounters counters_;
     };
 
@@ -489,18 +683,63 @@ public:
 private:
     friend class LocalView;
 
-    StorageTuple permute(const StorageTuple& t, unsigned idx) const {
+    template <std::size_t A>
+    using IndexSet = std::vector<std::unique_ptr<index_type<A>>>;
+
+    /// Calls fn(Arity<A>{}) for this relation's arity A: the one switch
+    /// every operation takes to reach its typed indexes.
+    template <typename Fn>
+    decltype(auto) with_arity(Fn&& fn) const {
+        switch (arity_) {
+            case 1: return fn(Arity<1>{});
+            case 2: return fn(Arity<2>{});
+            case 3: return fn(Arity<3>{});
+            default: return fn(Arity<4>{});
+        }
+    }
+
+    template <std::size_t A>
+    IndexSet<A>& indexes() {
+        return *std::get_if<A - 1>(&indexes_);
+    }
+    template <std::size_t A>
+    const IndexSet<A>& indexes() const {
+        return *std::get_if<A - 1>(&indexes_);
+    }
+
+    /// Inclusive key range of every tuple whose first `prefix` columns equal
+    /// `bound[0..prefix)`: the prefix padded with 0 (lo) and with max (hi).
+    template <std::size_t A>
+    static void inclusive_bounds(const StorageTuple& bound, unsigned prefix,
+                                 Tuple<A>& lo, Tuple<A>& hi) {
+        for (unsigned c = 0; c < A; ++c) {
+            if (c < prefix) {
+                lo[c] = bound[c];
+                hi[c] = bound[c];
+            } else {
+                lo[c] = 0;
+                hi[c] = std::numeric_limits<Value>::max();
+            }
+        }
+    }
+
+    /// Source tuple -> index `idx`'s key (its first A permuted columns).
+    template <std::size_t A>
+    Tuple<A> permute(const StorageTuple& t, unsigned idx) const {
+        if (idx == 0) return relation_detail::narrow<A>(t); // primary is the identity
         const IndexOrder& o = orders_[idx];
-        if (idx == 0) return t; // primary is the identity
-        StorageTuple out;
-        for (unsigned c = 0; c < o.arity; ++c) out[c] = t[o.order[c]];
+        Tuple<A> out;
+        for (unsigned c = 0; c < A; ++c) out[c] = t[o.order[c]];
         return out;
     }
 
-    StorageTuple unpermute(const StorageTuple& stored, const IndexOrder& o) const {
-        if (&o == &orders_[0]) return stored;
-        StorageTuple out;
-        for (unsigned c = 0; c < o.arity; ++c) out[o.order[c]] = stored[c];
+    /// Index `idx`'s key -> source tuple, zero-padded.
+    template <std::size_t A>
+    StorageTuple unpermute(const Tuple<A>& stored, unsigned idx) const {
+        if (idx == 0) return relation_detail::widen<A>(stored);
+        const IndexOrder& o = orders_[idx];
+        StorageTuple out{};
+        for (unsigned c = 0; c < A; ++c) out[o.order[c]] = stored[c];
         return out;
     }
 
@@ -509,21 +748,24 @@ private:
         membership_.fetch_add(view.counters_.membership_tests, std::memory_order_relaxed);
         lower_.fetch_add(view.counters_.lower_bound_calls, std::memory_order_relaxed);
         upper_.fetch_add(view.counters_.upper_bound_calls, std::memory_order_relaxed);
-        if constexpr (requires(typename Storage::local& l) { l.stats(); }) {
-            for (auto& local : view.locals_) {
-                const HintStats& s = local.stats();
-                for (int i = 0; i < 4; ++i) {
-                    hint_hits_[i].fetch_add(s.hits[i], std::memory_order_relaxed);
-                    hint_misses_[i].fetch_add(s.misses[i], std::memory_order_relaxed);
+        with_arity([&](auto a) {
+            constexpr std::size_t A = decltype(a)::value;
+            for (auto& local : view.template locals<A>()) {
+                if constexpr (requires { local.stats(); }) {
+                    const HintStats& s = local.stats();
+                    for (int i = 0; i < 4; ++i) {
+                        hint_hits_[i].fetch_add(s.hits[i], std::memory_order_relaxed);
+                        hint_misses_[i].fetch_add(s.misses[i], std::memory_order_relaxed);
+                    }
                 }
             }
-        }
+        });
     }
 
     std::string name_;
     unsigned arity_;
     std::vector<IndexOrder> orders_;
-    std::vector<std::unique_ptr<Storage>> indexes_;
+    std::variant<IndexSet<1>, IndexSet<2>, IndexSet<3>, IndexSet<4>> indexes_;
 
     std::atomic<std::uint64_t> inserts_{0}, membership_{0}, lower_{0}, upper_{0};
     std::atomic<std::uint64_t> hint_hits_[4] = {};

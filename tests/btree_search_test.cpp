@@ -25,6 +25,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <optional>
 #include <set>
 #include <type_traits>
@@ -222,6 +223,74 @@ TEST(SearchEquivalence, NodeBoundariesTupleWithTies) {
         check_node_boundaries<detail::LinearSearch, Point, 24>(n, keys);
         check_node_boundaries<detail::BinarySearch, Point, 24>(n, keys);
     }
+}
+
+// ---------------------------------------------------------------------------
+// Ordered runs straddling node sizes
+// ---------------------------------------------------------------------------
+
+/// Run lengths one short of, at and one past every multiple of the node
+/// size that changes the tree's shape: the first split, the second and
+/// third leaf, half and all of a full second level, and a third level.
+std::vector<unsigned> straddling_lengths(unsigned b) {
+    std::set<unsigned> out{1, 2};
+    for (unsigned base : {b, 2 * b, 3 * b, b * b / 2, b * b, b * b + b, b * b * b}) {
+        for (unsigned n : {base - 1, base, base + 1}) out.insert(n);
+    }
+    return {out.begin(), out.end()};
+}
+
+/// Ascending and descending runs of every straddling length, inserted plain
+/// and hinted into a fresh tree per run: the tree must pass its invariants
+/// and iterate byte-for-byte like a std::set of the same keys (appends on
+/// the right spine and prepends on the left take the biased and median
+/// splits, DESIGN.md §16).
+template <typename Search, unsigned BlockSize>
+void check_ordered_runs() {
+    using Tree = dtree::btree_set<Point, ThreeWayComparator<Point>, BlockSize, Search>;
+    for (unsigned n : straddling_lengths(BlockSize)) {
+        // First columns repeat four times, so ties reach the second column.
+        std::vector<Point> run;
+        for (unsigned i = 0; i < n; ++i) run.push_back(Point{i / 4, i % 4});
+        const std::set<Point> oracle(run.begin(), run.end());
+        const std::vector<Point> want(oracle.begin(), oracle.end());
+        for (bool descending : {false, true}) {
+            for (bool hinted : {false, true}) {
+                SCOPED_TRACE(::testing::Message()
+                             << "B=" << BlockSize << " n=" << n
+                             << (descending ? " descending" : " ascending")
+                             << (hinted ? " hinted" : " plain"));
+                Tree tree;
+                auto hints = tree.create_hints();
+                for (unsigned i = 0; i < n; ++i) {
+                    const Point& k = run[descending ? n - 1 - i : i];
+                    ASSERT_TRUE(hinted ? tree.insert(k, hints) : tree.insert(k));
+                }
+                ASSERT_TRUE(tree.check_invariants().empty()) << tree.check_invariants();
+                const std::vector<Point> got(tree.begin(), tree.end());
+                ASSERT_EQ(got.size(), want.size());
+                ASSERT_EQ(std::memcmp(got.data(), want.data(), want.size() * sizeof(Point)),
+                          0);
+            }
+        }
+    }
+}
+
+TEST(SearchEquivalence, OrderedRunsStraddlingNodeSizes) {
+    check_ordered_runs<detail::LinearSearch, 3>();
+    check_ordered_runs<detail::BinarySearch, 3>();
+    check_ordered_runs<detail::LinearSearch, 4>();
+    check_ordered_runs<detail::BinarySearch, 4>();
+    check_ordered_runs<detail::LinearSearch, 5>();
+    check_ordered_runs<detail::BinarySearch, 5>();
+}
+
+/// B = 32 is Tuple<2>'s default node: the engine's commonest node since
+/// binary relations store Tuple<2> keys (DESIGN.md §17).
+TEST(SearchEquivalence, OrderedRunsStraddlingTupleTwoNodes) {
+    static_assert(detail::default_block_size<Point>() == 32);
+    check_ordered_runs<detail::LinearSearch, 32>();
+    check_ordered_runs<detail::BinarySearch, 32>();
 }
 
 // ---------------------------------------------------------------------------

@@ -303,11 +303,11 @@ TEST(IndexShape, CountsEveryTupleOfEveryIndex) {
         EXPECT_GT(s.leaf_nodes, 0u);
         EXPECT_GE(s.depth, 1u);
         EXPECT_GT(s.memory_bytes, 0u);
-        EXPECT_EQ(s.block_size, 16u); // Tuple<4> keys, ~512 B per node
+        EXPECT_EQ(s.block_size, 32u); // arity-2 keys: Tuple<2>, ~512 B per node
     }
     // permitted is derived mostly in key order: its nodes end up fuller
     // than the BlockSize/2 a median split leaves.
-    EXPECT_GT(permitted.index_shape(0).keys_per_node(), 10.0);
+    EXPECT_GT(permitted.index_shape(0).keys_per_node(), 20.0);
 }
 
 // -- workload generators -----------------------------------------------------------
