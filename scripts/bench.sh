@@ -248,7 +248,10 @@ m5 = fig5["metrics"]
 # one empty-index rotation taking the packed-load fast path (the first
 # iteration of every recursive stratum qualifies). Zeros mean the engine
 # silently fell back to the O(|NEW|) point-insert staging loop.
-for counter in ("btree_bulk_runs", "btree_bulk_keys", "datalog_merge_fastpath"):
+# btree_leaf_redistributions: leaf overflows off the right spine rotate
+# keys into a sibling before they split (DESIGN.md §16).
+for counter in ("btree_bulk_runs", "btree_bulk_keys", "datalog_merge_fastpath",
+                "btree_leaf_redistributions"):
     assert m5.get(counter, 0) > 0, f"fig5 counter {counter} is zero"
     print(f"   fig5 {counter} = {m5[counter]}")
 

@@ -44,9 +44,10 @@ CONC_TARGETS=(torture_btree_test optimistic_lock_test btree_concurrent_test
               btree_smallnode_test hints_test runtime_scheduler_test
               btree_bulk_merge_test btree_search_test btree_snapshot_test
               datalog_ingest_test net_server_test btree_basic_test
-              runtime_determinism_test relation_arity_test)
+              runtime_determinism_test relation_arity_test
+              btree_split_policy_test)
 # ctest -R filter matching exactly the tests those targets register.
-CONC_FILTER='Torture|OptimisticLock|AbortWrite|Concurrent|SmallNode|Hint|Scheduler|BulkMerge|FromSorted|SampleSeparators|SearchEquivalence|SearchMetrics|Snapshot|Ingest|NetServer|BTreeBasic|Determinism|RelationArity'
+CONC_FILTER='Torture|OptimisticLock|AbortWrite|Concurrent|SmallNode|Hint|Scheduler|BulkMerge|FromSorted|SampleSeparators|SearchEquivalence|SearchMetrics|Snapshot|Ingest|NetServer|BTreeBasic|Determinism|RelationArity|SplitPolicy|EdgeRotation'
 # The TSan leg doubles as the scalar-fallback proof for the fingerprint
 # kernel of leaf layout v2 (DESIGN.md §15): TSan builds force
 # DTREE_SIMD_VECTOR off (src/core/race_access.h), so the Fp* equivalence and

@@ -119,8 +119,9 @@ struct btree_tree_stats {
     std::size_t memory_bytes = 0;
     unsigned block_size = 0;     ///< keys per node (the tree's BlockSize)
 
-    /// Mean keys per node: BlockSize-2 on a tree grown by appends,
-    /// about BlockSize/2 where median splits dominate (DESIGN.md §16).
+    /// Mean keys per node: BlockSize-2 on a tree grown by appends, more
+    /// than 0.8 BlockSize in leaves grown by random inserts, whose overflows
+    /// rotate keys into siblings before they split (DESIGN.md §16).
     double keys_per_node() const {
         const std::size_t nodes = inner_nodes + leaf_nodes;
         return nodes ? static_cast<double>(elements) / nodes : 0.0;
@@ -1233,9 +1234,8 @@ private:
         }
 
         if (cur->full()) {
-            // Re-run the insert on the half that now covers k.
-            return insert_sequential_from(
-                k, hints, split_and_propagate(cur, k, snap_epoch_now()));
+            // Re-run the insert on the leaf that now covers k.
+            return insert_sequential_from(k, hints, make_room(cur, k));
         }
 
         const unsigned n = cur->num_elements.load();
@@ -1461,10 +1461,12 @@ private:
 
     /// Concurrent split (Alg. 2): write-locks the ancestor path bottom-up
     /// (every full ancestor plus the first non-full one, or the tree's root
-    /// lock), performs the structural split, then unlocks top-down.
+    /// lock), performs the structural split, then unlocks top-down. A leaf
+    /// first tries to shed keys into a sibling once its parent is locked
+    /// (try_redistribute); only if that fails does the path walk go on.
     /// Precondition: `node` is write-locked by the caller and full, and
-    /// `pending` is the key whose insertion overflowed it. Returns the half
-    /// whose key range holds `pending` (see split_and_propagate).
+    /// `pending` is the key whose insertion overflowed it. Returns the leaf
+    /// or half whose key range holds `pending` (see split_and_propagate).
     NodeT* split_concurrent(NodeT* node, const Key& pending) {
         // Fault injection: hold the write-locked leaf before acquiring any
         // ancestor lock, widening the window in which concurrent inserts see
@@ -1496,6 +1498,12 @@ private:
             }
             assert(depth < 64);
             path[depth++] = parent;
+            if (depth == 1 && parent && !node->inner) {
+                if (NodeT* target = try_redistribute(node, parent, pending)) {
+                    parent->lock.end_write();
+                    return target;
+                }
+            }
             if (!parent || !parent->full()) break;
             cur = parent;
         }
@@ -1677,6 +1685,99 @@ private:
         parent->num_elements.store(n + 1);
     }
 
+    /// Leaf overflow without a split (DESIGN.md §16): rotates keys of the
+    /// full `leaf` through the parent separator into the neighbour under
+    /// the same parent with more room, so the two leaves end up balanced
+    /// once `pending` lands. Separators are elements: the old separator
+    /// moves down into one leaf and a leaf key moves up in its place.
+    /// Declines (nullptr) on a right-spine append, which keeps its append
+    /// split, and when no neighbour can take keys. The caller holds `leaf`
+    /// and `parent` exclusively (write locks / sequential). The sibling is
+    /// only try-locked: its holder may be waiting for `parent`, which we
+    /// hold, so blocking could deadlock. Returns the leaf whose key range
+    /// holds `pending`, as split_and_propagate does.
+    NodeT* try_redistribute(NodeT* leaf, InnerT* parent, const Key& pending) {
+        // v2: the rank and the moves below read the sorted view.
+        if constexpr (WithFingerprints) leaf_consolidate(leaf);
+        if (leaf->spine.load() && comp_(leaf->keys[BlockSize - 1], pending) < 0) {
+            return nullptr;
+        }
+        const unsigned pos = leaf->position.load();
+        NodeT* left = pos > 0 ? parent->children[pos - 1].load() : nullptr;
+        NodeT* right = pos < parent->num_elements.load()
+                           ? parent->children[pos + 1].load()
+                           : nullptr;
+        // Racy counts pick the sibling; its lock makes the count exact.
+        const unsigned nl = left ? left->num_elements.load() : BlockSize;
+        const unsigned nr = right ? right->num_elements.load() : BlockSize;
+        if (nl >= BlockSize && nr >= BlockSize) return nullptr;
+        const bool into_left = nl <= nr;
+        NodeT* const sib = into_left ? left : right;
+        DTREE_FAILPOINT_DELAY(redistribute_delay);
+        if constexpr (concurrent) {
+            if (!sib->lock.try_start_write()) {
+                DTREE_METRIC_INC(btree_redistribute_busy);
+                return nullptr;
+            }
+        }
+        // The pair in key order, a | separator s | c.
+        NodeT* const a = into_left ? sib : leaf;
+        NodeT* const c = into_left ? leaf : sib;
+        const unsigned s = into_left ? pos - 1 : pos;
+        const unsigned na = a->num_elements.load();
+        const unsigned nc = c->num_elements.load();
+        const unsigned total = na + nc + 1;
+        // Rank of pending among a's keys, the separator and c's keys.
+        const unsigned r =
+            (into_left ? na + 1 : 0) +
+            detail::node_lower<Search, SeqAccess>(leaf, BlockSize, pending, comp_);
+        // `keep` keys stay left of the new separator; pending's side must
+        // keep a free slot.
+        unsigned keep = (total - 1) / 2;
+        if (r > keep && total - keep > BlockSize) ++keep;
+        if (keep + (r <= keep) > BlockSize ||
+            total - 1 - keep + (r > keep) > BlockSize) {
+            if constexpr (concurrent) sib->lock.abort_write(); // untouched
+            return nullptr;
+        }
+        DTREE_METRIC_INC(btree_leaf_redistributions);
+        if constexpr (WithFingerprints) leaf_consolidate(sib);
+        // All three nodes are exclusive now: one epoch stamps them all.
+        const std::uint64_t se = snap_epoch_now();
+        snap_retain(a, se);
+        snap_retain(c, se);
+        snap_retain(parent, se);
+        Key buf[2 * BlockSize + 1]; // exclusive: plain reads
+        unsigned m = 0;
+        for (unsigned i = 0; i < na; ++i) buf[m++] = a->keys[i];
+        buf[m++] = parent->keys[s];
+        for (unsigned i = 0; i < nc; ++i) buf[m++] = c->keys[i];
+        for (unsigned i = std::min(na, keep); i < keep; ++i) {
+            a->template key_store<Access>(i, buf[i]);
+        }
+        a->num_elements.store(keep);
+        parent->template key_store<Access>(s, buf[keep]);
+        for (unsigned i = keep + 1; i < total; ++i) {
+            c->template key_store<Access>(i - keep - 1, buf[i]);
+        }
+        c->num_elements.store(total - 1 - keep);
+        fp_reset_leaf(a);
+        fp_reset_leaf(c);
+        if constexpr (concurrent) sib->lock.end_write();
+        return r <= keep ? a : c;
+    }
+
+    /// Leaf overflow on the sequential paths: the rotation of
+    /// try_redistribute, else the split.
+    NodeT* make_room(NodeT* leaf, const Key& pending) {
+        if (InnerT* parent = leaf->parent.load()) {
+            if (NodeT* target = try_redistribute(leaf, parent, pending)) {
+                return target;
+            }
+        }
+        return split_and_propagate(leaf, pending, snap_epoch_now());
+    }
+
     // -- sorted bulk merge (insert_sorted_run machinery) ----------------------
 
     /// Merges keys from the sorted stream [first, last) into `leaf`, to which
@@ -1819,7 +1920,9 @@ private:
     /// and fill up to its own last key (inclusive — within [keys[0],
     /// keys[n-1]] the leaf is authoritative regardless of ancestor
     /// separators), or without bound on the right spine's last leaf, which
-    /// owns every key above its first. nullopt falls through to the descent
+    /// owns every key above its first. The covering check runs under the
+    /// lease the upgrade validates, so a split or rotation of the leaf in
+    /// between fails the upgrade. nullopt falls through to the descent
     /// path.
     template <typename It>
     std::optional<It> try_bulk_hint(It first, It last, operation_hints& hints,
@@ -1860,10 +1963,12 @@ private:
     /// One optimistic descent to the leaf covering *first, then a bulk fill
     /// of that leaf under a single lock upgrade — the amortisation the whole
     /// path exists for. Tracks the tightest upper separator passed on the
-    /// way down; the bound stays valid while the leaf's version holds (only
-    /// a split of the LEAF narrows its key range, and that bumps the version
-    /// the upgrade validates — the same argument Alg. 1 makes for point
-    /// inserts). nullopt means "conflict detected, restart".
+    /// way down; the bound stays valid while the leaf's version holds (a
+    /// leaf's key range changes only under that leaf's write lock — its own
+    /// split, or a rotation that takes keys from it or gives keys to it —
+    /// and ending that write bumps the version the upgrade validates: the
+    /// same argument Alg. 1 makes for point inserts). nullopt means
+    /// "conflict detected, restart".
     template <typename It>
     std::optional<It> try_bulk_segment(It first, It last,
                                        operation_hints& hints,
@@ -1986,8 +2091,7 @@ private:
                                        /*hi_inclusive=*/true, inserted,
                                        need_split);
             if (need_split) {
-                hints.set(HintKind::Insert,
-                          split_and_propagate(h, *next, snap_epoch_now()));
+                hints.set(HintKind::Insert, make_room(h, *next));
             }
             return next;
         }
@@ -2011,9 +2115,7 @@ private:
         It next = leaf_fill_sorted(cur, first, last, has_hi ? &hi : nullptr,
                                    /*hi_inclusive=*/false, inserted,
                                    need_split);
-        hints.set(HintKind::Insert,
-                  need_split ? split_and_propagate(cur, *next, snap_epoch_now())
-                             : cur);
+        hints.set(HintKind::Insert, need_split ? make_room(cur, *next) : cur);
         return next;
     }
 
@@ -2367,9 +2469,10 @@ private:
                          : "spine flag off the right spine";
         }
         // A node off the spine was left behind by a median split or by a
-        // spine split keeping BlockSize-2 keys, and can only have grown
-        // since: minimum fill is BlockSize/2 - 1. Spine nodes may start
-        // with a single key (split_and_propagate).
+        // spine split keeping BlockSize-2 keys, and can since only have
+        // grown or given keys to a sibling in a rotation that left both
+        // leaves above half full: minimum fill is BlockSize/2 - 1. Spine
+        // nodes may start with a single key (split_and_propagate).
         if (!spine && cnt + 1 < BlockSize / 2) return "under-filled node";
         if constexpr (WithFingerprints) {
             // v2 leaves are sorted only up to their watermark; their range

@@ -52,6 +52,8 @@ enum class Site : unsigned {
     upgrade_delay,     ///< widen leaf_insert's snapshot -> upgrade window
     sched_steal_delay, ///< spin before each steal probe (runtime/scheduler.h)
     sched_worker_stall,///< stall a worker entering a region (forces imbalance)
+    redistribute_delay,///< spin between a leaf's parent lock and its sibling
+                       ///< try-lock (btree::try_redistribute)
     count
 };
 
@@ -66,6 +68,7 @@ inline const char* site_name(Site s) {
         case Site::upgrade_delay: return "upgrade_delay";
         case Site::sched_steal_delay: return "sched_steal_delay";
         case Site::sched_worker_stall: return "sched_worker_stall";
+        case Site::redistribute_delay: return "redistribute_delay";
         default: return "?";
     }
 }

@@ -53,6 +53,10 @@ enum class Counter : unsigned {
     btree_leaf_splits,        ///< leaf-level node splits
     btree_inner_splits,       ///< inner-node splits (incl. recursive)
     btree_root_replacements,  ///< tree grew a level (new root published)
+    btree_leaf_redistributions, ///< leaf overflows resolved by rotating keys
+                                ///< into a same-parent sibling (no split)
+    btree_redistribute_busy,  ///< rotations given up because the sibling's
+                              ///< try-lock failed (the split ran instead)
     btree_bulk_runs,          ///< insert_sorted_run calls (sorted bulk merges)
     btree_bulk_keys,          ///< keys consumed by bulk leaf fills (incl. dups)
     alloc_leaf_nodes,         ///< leaf nodes allocated
@@ -112,6 +116,8 @@ inline const char* counter_name(Counter c) {
         case Counter::btree_leaf_splits: return "btree_leaf_splits";
         case Counter::btree_inner_splits: return "btree_inner_splits";
         case Counter::btree_root_replacements: return "btree_root_replacements";
+        case Counter::btree_leaf_redistributions: return "btree_leaf_redistributions";
+        case Counter::btree_redistribute_busy: return "btree_redistribute_busy";
         case Counter::btree_bulk_runs: return "btree_bulk_runs";
         case Counter::btree_bulk_keys: return "btree_bulk_keys";
         case Counter::alloc_leaf_nodes: return "alloc_leaf_nodes";

@@ -12,6 +12,7 @@
 #include "core/tuple.h"
 #include "runtime/scheduler.h"
 #include "util/failpoint.h"
+#include "util/metrics.h"
 #include "util/parallel.h"
 #include "util/random.h"
 #include "util/torture.h"
@@ -23,6 +24,7 @@
 #include <cstdint>
 #include <set>
 #include <string>
+#include <thread>
 #include <type_traits>
 #include <vector>
 
@@ -506,6 +508,120 @@ TEST_F(TortureTest, SnapshotCleanBlock11) { run_snapshot_torture<11>(1002, false
 TEST_F(TortureTest, SnapshotInjectedBlock3) { run_snapshot_torture<3>(1101, true); }
 TEST_F(TortureTest, SnapshotInjectedBlock4) { run_snapshot_torture<4>(1102, true); }
 TEST_F(TortureTest, SnapshotInjectedBlock5) { run_snapshot_torture<5>(1103, true); }
+
+// -- leaf redistribution (DESIGN.md §16) -------------------------------------
+//
+// Phase 1: the oracle-checked torture run with four threads inserting
+// random keys, so most leaf overflows land off the right spine and rotate
+// keys into a sibling; redistribute_delay stretches the window between the
+// parent lock and the sibling try-lock. Phase 2 makes the try-lock fail on
+// purpose: four threads insert interleaved keys (thread t: base + 4i + t),
+// so they all overflow the same few leaves at the right edge, and
+// split_delay holds those leaves write-locked while their owners wait for
+// the parent. The overflow must then fall back to the split; the
+// btree_redistribute_busy counter proves that path ran.
+
+template <typename TreeT>
+void hot_edge_round(TreeT& tree, std::uint64_t base, unsigned per_thread) {
+    std::vector<std::thread> threads;
+    for (unsigned t = 0; t < 4; ++t) {
+        threads.emplace_back([&tree, base, per_thread, t] {
+            fail::set_thread_ordinal(t);
+            auto h = tree.create_hints();
+            for (unsigned i = 0; i < per_thread; ++i) {
+                tree.insert(base + 4 * std::uint64_t{i} + t, h);
+            }
+        });
+    }
+    for (auto& th : threads) th.join();
+}
+
+template <typename TreeT>
+void run_redistribute_torture(std::uint64_t seed) {
+    namespace metrics = dtree::metrics;
+    metrics::reset();
+    TortureTest::arm_failpoints(seed);
+    fail::set_probability(fail::Site::redistribute_delay, 0.5);
+    fail::set_delay(fail::Site::redistribute_delay, 300);
+    {
+        TreeT tree;
+        const auto opt = TortureTest::options(seed);
+        if constexpr (TreeT::with_snapshots) {
+            const auto res = dtree::util::torture_snapshot_run(tree, opt);
+            ASSERT_TRUE(res.ok) << res.failure;
+            EXPECT_GT(res.new_keys, 0u);
+        } else {
+            const auto res = torture_run(tree, opt);
+            ASSERT_TRUE(res.ok) << res.failure;
+            EXPECT_GT(res.new_keys, 0u);
+        }
+        const std::string err = tree.check_invariants();
+        ASSERT_TRUE(err.empty()) << err;
+    }
+    EXPECT_GT(fail::fires(fail::Site::redistribute_delay), 0u);
+    EXPECT_GT(metrics::value(metrics::Counter::btree_leaf_redistributions), 0u)
+        << "no leaf overflow was ever resolved by a rotation";
+
+    fail::set_probability(fail::Site::split_delay, 1.0);
+    fail::set_delay(fail::Site::split_delay, 500);
+    fail::set_probability(fail::Site::redistribute_delay, 1.0);
+    TreeT tree;
+    constexpr unsigned kPerThread = 200;
+    unsigned rounds = 0;
+    while (rounds < 50 &&
+           metrics::value(metrics::Counter::btree_redistribute_busy) == 0) {
+        hot_edge_round(tree, std::uint64_t{rounds} * 4 * kPerThread, kPerThread);
+        ++rounds;
+    }
+    const std::string err = tree.check_invariants();
+    ASSERT_TRUE(err.empty()) << err;
+    ASSERT_EQ(tree.size(), std::size_t{rounds} * 4 * kPerThread);
+    std::uint64_t expect = 0;
+    for (std::uint64_t k : tree) ASSERT_EQ(k, expect++);
+    EXPECT_GT(metrics::value(metrics::Counter::btree_redistribute_busy), 0u)
+        << "the sibling try-lock never failed in " << rounds
+        << " rounds: the split fallback never ran";
+}
+
+template <unsigned B>
+using RedistPlain = Tree<B>;
+
+TEST_F(TortureTest, RedistributePlainBlock3) {
+    run_redistribute_torture<RedistPlain<3>>(2101);
+}
+TEST_F(TortureTest, RedistributePlainBlock4) {
+    run_redistribute_torture<RedistPlain<4>>(2102);
+}
+TEST_F(TortureTest, RedistributePlainBlock5) {
+    run_redistribute_torture<RedistPlain<5>>(2103);
+}
+TEST_F(TortureTest, RedistributePlainBlock16) {
+    run_redistribute_torture<RedistPlain<16>>(2104);
+}
+TEST_F(TortureTest, RedistributeFpBlock3) {
+    run_redistribute_torture<FpTortureTree<3>>(2201);
+}
+TEST_F(TortureTest, RedistributeFpBlock4) {
+    run_redistribute_torture<FpTortureTree<4>>(2202);
+}
+TEST_F(TortureTest, RedistributeFpBlock5) {
+    run_redistribute_torture<FpTortureTree<5>>(2203);
+}
+TEST_F(TortureTest, RedistributeFpBlock16) {
+    run_redistribute_torture<FpTortureTree<16>>(2204);
+}
+TEST_F(TortureTest, RedistributeSnapshotBlock3) {
+    run_redistribute_torture<SnapTree<3>>(2301);
+}
+TEST_F(TortureTest, RedistributeSnapshotBlock4) {
+    run_redistribute_torture<SnapTree<4>>(2302);
+}
+TEST_F(TortureTest, RedistributeSnapshotBlock5) {
+    run_redistribute_torture<SnapTree<5>>(2303);
+}
+TEST_F(TortureTest, RedistributeSnapshotBlock16) {
+    run_redistribute_torture<SnapTree<16>>(2304);
+}
 
 // -- Zipfian duplicate storms --------------------------------------------------
 // Racing threads re-derive a few hot keys (Zipf s=1.2 over a 600-key
