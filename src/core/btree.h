@@ -1715,7 +1715,8 @@ private:
         NodeT* const sib = into_left ? left : right;
         DTREE_FAILPOINT_DELAY(redistribute_delay);
         if constexpr (concurrent) {
-            if (!sib->lock.try_start_write()) {
+            // Fault injection: a sibling held by another writer.
+            if (DTREE_FAILPOINT(sibling_busy) || !sib->lock.try_start_write()) {
                 DTREE_METRIC_INC(btree_redistribute_busy);
                 return nullptr;
             }

@@ -54,6 +54,7 @@ enum class Site : unsigned {
     sched_worker_stall,///< stall a worker entering a region (forces imbalance)
     redistribute_delay,///< spin between a leaf's parent lock and its sibling
                        ///< try-lock (btree::try_redistribute)
+    sibling_busy,      ///< that sibling try-lock fails without a CAS
     count
 };
 
@@ -69,6 +70,7 @@ inline const char* site_name(Site s) {
         case Site::sched_steal_delay: return "sched_steal_delay";
         case Site::sched_worker_stall: return "sched_worker_stall";
         case Site::redistribute_delay: return "redistribute_delay";
+        case Site::sibling_busy: return "sibling_busy";
         default: return "?";
     }
 }
